@@ -103,12 +103,14 @@ netchaos-smoke:
 # portfolio on two gen profiles with byte-identical results across repeated
 # runs and a cold/warm/reopened outcome store (internal/portfolio), the
 # mode=portfolio service path with its advisory-store restart proof
-# (internal/service), and the hgchaos portfolio scenario (restart +
-# 1/2/3-worker cluster byte-identity); then run the hgbench quality gate —
-# portfolio never worse than the fixed default on half the suite, racing
-# overhead bounded.
+# (internal/service, repeated three times together with the watchdog suite
+# so a timing-sensitive job disposition that flakes shows up here), and the
+# hgchaos portfolio scenario (restart + 1/2/3-worker cluster byte-identity);
+# then run the hgbench quality gate — portfolio never worse than the fixed
+# default on half the suite, racing overhead bounded.
 portfolio-smoke:
-	$(GO) test -race -count=1 -timeout 360s -run 'TestPortfolio' ./internal/portfolio ./internal/service ./cmd/hgchaos
+	$(GO) test -race -count=1 -timeout 360s -run 'TestPortfolio' ./internal/portfolio ./cmd/hgchaos
+	$(GO) test -race -count=3 -timeout 360s -run 'TestPortfolio|TestWatchdog' ./internal/service
 	$(GO) run ./cmd/hgbench -portfolio-gate
 
 # What CI runs: build, static checks (vet + hglint with the stale-suppression

@@ -103,8 +103,9 @@ type RunOptions struct {
 	// skipped.
 	WallBudget time.Duration
 	// WorkBudget bounds the cumulative deterministic work-unit count; 0
-	// means unbounded. Checked before dispatching each start, so the total
-	// may overshoot by up to Workers in-flight starts.
+	// means unbounded. Checked before dispatching each start, once a worker
+	// is idle, so the total may overshoot by up to Workers in-flight starts;
+	// with one worker the cutoff is schedule-independent.
 	WorkBudget int64
 	// MaxRetries is how many times a panicking or verification-failing start
 	// is retried with a reseeded generator before being recorded as failed.
@@ -293,12 +294,20 @@ func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed ui
 	var wg sync.WaitGroup
 	next := make(chan int)
 	resc := make(chan StartResult, n)
+	// A worker posts a token on idle before each receive from next; each
+	// worker holds at most one outstanding token, so posting never blocks.
+	idle := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			h := factory()
-			for i := range next {
+			for {
+				idle <- struct{}{}
+				i, ok := <-next
+				if !ok {
+					return
+				}
 				sr := runStart(&h, factory, i, startSeeds[i], opt)
 				totalWork.Add(sr.Outcome.Work)
 				if opt.Checkpoint != nil {
@@ -318,13 +327,10 @@ dispatch:
 		if rep.Results[i].Resumed {
 			continue
 		}
-		if opt.WorkBudget > 0 && totalWork.Load() >= opt.WorkBudget {
-			reason = "work budget exhausted"
-			break
-		}
+		// Wait for an idle worker before consulting the work budget, so the
+		// check sees the work of every start that worker has finished.
 		select {
-		case next <- i:
-			dispatched++
+		case <-idle:
 		case <-ctx.Done():
 			if parent.Err() != nil {
 				reason = "cancelled"
@@ -333,6 +339,12 @@ dispatch:
 			}
 			break dispatch
 		}
+		if opt.WorkBudget > 0 && totalWork.Load() >= opt.WorkBudget {
+			reason = "work budget exhausted"
+			break
+		}
+		next <- i // the idle worker is parked on this receive
+		dispatched++
 	}
 	close(next)
 

@@ -119,23 +119,31 @@ func (r Runner) measure(run func() int64, parallel bool) Metrics {
 	if !parallel {
 		// Single-P measurement, as testing.AllocsPerRun does: background
 		// scheduling cannot smear allocations or time across the sample.
-		// Parallel cases keep all Ps — pinning would serialize the very
-		// workers whose speedup is being measured.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		nsPerMove, moves, mallocs := r.sample(run)
+		return Metrics{NsPerMove: median(nsPerMove), AllocsPerMove: float64(mallocs) / float64(moves), Moves: moves, Reps: r.Reps}
 	}
 
-	nsPerMove := make([]float64, 0, r.Reps)
+	// Parallel cases are timed with all Ps — pinning would serialize the
+	// very workers whose speedup is being measured. Their allocations are
+	// counted in a second, single-P pass, as testing.AllocsPerRun does: with
+	// several Ps the runtime moves its parked-goroutine caches between them
+	// and refills a drained one from the heap, which under ambient load
+	// shows up as stray mallocs the workload itself never makes.
+	nsPerMove, moves, _ := r.sample(run)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The resize dropped the removed Ps' caches; refill them on a discarded
+	// rep so the counted ones see the single-P steady state.
+	run()
+	_, allocMoves, mallocs := r.sample(run)
+	return Metrics{NsPerMove: median(nsPerMove), AllocsPerMove: float64(mallocs) / float64(allocMoves), Moves: moves, Reps: r.Reps}
+}
+
+// sample runs Reps measured repetitions and returns the sorted per-rep
+// ns/move, the total move count and the total heap allocation count.
+func (r Runner) sample(run func() int64) (nsPerMove []float64, totalMoves int64, mallocs uint64) {
+	nsPerMove = make([]float64, 0, r.Reps)
 	var ms runtime.MemStats
-	var totalMoves int64
-	var totalAllocs uint64
-	if parallel {
-		// The first stop-the-world ReadMemStats after a parallel workload
-		// perturbs the runtime's goroutine-parking caches enough that the
-		// next run makes a handful of one-time allocations. Pay that on a
-		// discarded rep so the measured ones see the true steady state.
-		runtime.ReadMemStats(&ms)
-		run()
-	}
 	for i := 0; i < r.Reps; i++ {
 		runtime.ReadMemStats(&ms)
 		m0 := ms.Mallocs
@@ -147,16 +155,11 @@ func (r Runner) measure(run func() int64, parallel bool) Metrics {
 			moves = 1 // degenerate workload; avoid dividing by zero
 		}
 		totalMoves += moves
-		totalAllocs += ms.Mallocs - m0
+		mallocs += ms.Mallocs - m0
 		nsPerMove = append(nsPerMove, float64(elapsed.Nanoseconds())/float64(moves))
 	}
 	sort.Float64s(nsPerMove)
-	return Metrics{
-		NsPerMove:     median(nsPerMove),
-		AllocsPerMove: float64(totalAllocs) / float64(totalMoves),
-		Moves:         totalMoves,
-		Reps:          r.Reps,
-	}
+	return nsPerMove, totalMoves, mallocs
 }
 
 func median(sorted []float64) float64 {

@@ -230,48 +230,66 @@ type Result struct {
 	TotalWork int64
 }
 
-// Run executes the full portfolio schedule: race for the first quarter of
-// workBudget (or one start per arm when unbudgeted), then commit the
-// remaining budget to the winning arm as an eval.RunMultistart of starts
-// starts rooted at CommitSeed(seed). The commit runs on a single worker so
-// the work-budget cutoff is schedule-independent, making the whole Result a
-// pure function of (h, seed, starts, workBudget) — the property the smoke
-// test and the hgbench gate assert byte-for-byte.
+// RaceBudget is the racing slice of a schedule's work budget: a quarter of
+// it, or 0 (one start per arm) when the schedule is unbudgeted.
+func RaceBudget(workBudget int64) int64 {
+	if workBudget <= 0 {
+		return 0
+	}
+	return workBudget / 4
+}
+
+// CommitBudget is the commit phase's share of workBudget after a race that
+// spent raceWork: whatever the race left, but at least 1 so the commit
+// always gets one start. 0 (unbounded) when the schedule is unbudgeted.
+func CommitBudget(workBudget, raceWork int64) int64 {
+	if workBudget <= 0 {
+		return 0
+	}
+	if remaining := workBudget - raceWork; remaining >= 1 {
+		return remaining
+	}
+	return 1
+}
+
+// CommitWins is the race-vs-commit final rule: the commit's best becomes the
+// final answer when a commit start succeeded and either there is no
+// fallback (no race ran) or it strictly beats the fallback. Ties favor the
+// fallback, which the race already polished.
+func CommitWins(commit *eval.RunReport, fallback *eval.Outcome) bool {
+	return commit.BestIdx >= 0 && (fallback == nil || commit.Best.Cut < fallback.Cut)
+}
+
+// Run executes the full portfolio schedule: race for RaceBudget(workBudget),
+// then commit CommitBudget to the winning arm as an eval.RunMultistart of
+// starts starts rooted at CommitSeed(seed). The commit runs on a single
+// worker so the work-budget cutoff is schedule-independent, making the whole
+// Result a pure function of (h, seed, starts, workBudget) — the property the
+// smoke test and the hgbench gate assert byte-for-byte.
 //
-// When the commit phase's best comes from the commit (not the race) and the
-// winning arm has a polish step, the polish is applied once, seeded from
-// PolishSeed(seed); race-sourced bests were already polished during the race.
+// When CommitWins, the commit best is polished once with the winning arm's
+// polish step, seeded from PolishSeed(seed); race-sourced bests were already
+// polished during the race.
 func (s *Scheduler) Run(ctx context.Context, h *hypergraph.Hypergraph, bal partition.Balance, seed uint64, starts int, workBudget int64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	raceWork := int64(0)
-	if workBudget > 0 {
-		raceWork = workBudget / 4
-	}
-	race, err := s.Race(ctx, h, bal, seed, raceWork)
+	race, err := s.Race(ctx, h, bal, seed, RaceBudget(workBudget))
 	if err != nil {
 		return nil, err
 	}
 	arm := race.Arms[race.Winner]
 
-	remaining := int64(0)
-	if workBudget > 0 {
-		remaining = workBudget - race.RaceWork
-		if remaining < 1 {
-			remaining = 1 // the commit always gets at least one start
-		}
-	}
 	cseed := CommitSeed(seed)
 	rep := eval.RunMultistart(ctx, arm.Factory(h, bal, cseed), starts, cseed, eval.RunOptions{
 		Workers:    1,
 		Verify:     eval.VerifyOutcome(bal),
-		WorkBudget: remaining,
+		WorkBudget: CommitBudget(workBudget, race.RaceWork),
 	})
 
 	res := &Result{Race: race, Commit: rep, Final: race.Best, Source: "race",
 		TotalWork: race.RaceWork + rep.TotalWork}
-	if rep.BestIdx >= 0 && rep.Best.P != nil && rep.Best.Cut < res.Final.Cut {
+	if CommitWins(rep, &race.Best) {
 		res.Final = rep.Best
 		res.Source = "commit"
 		ph := arm.NewHeuristic(h, bal, rng.New(cseed))

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"hgpart/internal/chaos"
 	"hgpart/internal/core"
 	"hgpart/internal/eval"
 	"hgpart/internal/hypergraph"
@@ -84,7 +83,7 @@ type Job struct {
 	// StuckAfter to detect a run that is alive but doing nothing.
 	lastBeat time.Time //hglint:guardedby mu
 	// kicked marks that the watchdog cancelled this run for lack of progress;
-	// run() turns that into a requeue (bounded by requeues) or a 500.
+	// cancelled() turns that into a requeue (bounded by requeues) or a 500.
 	kicked   bool //hglint:guardedby mu
 	requeues int  //hglint:guardedby mu
 
@@ -250,21 +249,11 @@ func (q *jobPQ) Pop() any {
 // while the first is queued or running joins the existing job (the
 // singleflight the acceptance test verifies).
 type Manager struct {
-	workers          int
-	startWorkers     int
-	maxRefineThreads int
-	queueCap         int
-	historyCap       int
-	maxRetries       int
-	checkpointDir    string
-	stuckAfter       time.Duration
-	watchdogInterval time.Duration
-	maxRequeues      int
-	fs               chaos.FS
-	factory          func(PartitionRequest, *hypergraph.Hypergraph, partition.Balance) func() eval.Heuristic
-	cache            *Cache
-	metrics          *Metrics
-	log              *slog.Logger
+	// cfg is the normalized server configuration (see New).
+	cfg     Config
+	cache   *Cache
+	metrics *Metrics
+	log     *slog.Logger
 	// store is the portfolio outcome store, shared by every mode=portfolio
 	// job on this node. It lives next to the checkpoint journals so cluster
 	// workers sharing a checkpoint dir warm-start each other; nil when
@@ -298,33 +287,16 @@ var errQueueFull = fmt.Errorf("job queue is full; retry later or lower the reque
 // watchdog that reclaims runs which stop making progress.
 func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *Manager {
 	m := &Manager{
-		workers:          cfg.Workers,
-		startWorkers:     cfg.StartWorkers,
-		maxRefineThreads: cfg.MaxRefineThreads,
-		queueCap:         cfg.QueueCap,
-		historyCap:       cfg.HistoryCap,
-		maxRetries:       cfg.MaxRetries,
-		checkpointDir:    cfg.CheckpointDir,
-		stuckAfter:       cfg.StuckAfter,
-		watchdogInterval: cfg.WatchdogInterval,
-		maxRequeues:      cfg.MaxRequeues,
-		fs:               cfg.FS,
-		factory:          cfg.testFactory,
-		cache:            cache,
-		metrics:          metrics,
-		log:              log,
-		inflight:         make(map[string]*Job),
-		jobs:             make(map[string]*Job),
+		cfg:      cfg,
+		cache:    cache,
+		metrics:  metrics,
+		log:      log,
+		inflight: make(map[string]*Job),
+		jobs:     make(map[string]*Job),
 	}
-	if m.fs == nil {
-		m.fs = chaos.OS()
-	}
-	if m.factory == nil {
-		m.factory = buildFactory
-	}
-	if m.checkpointDir != "" {
-		path := filepath.Join(m.checkpointDir, "portfolio.store")
-		st, err := portfolio.OpenStoreFS(m.fs, path)
+	if cfg.CheckpointDir != "" {
+		path := filepath.Join(cfg.CheckpointDir, "portfolio.store")
+		st, err := portfolio.OpenStoreFS(cfg.FS, path)
 		if err != nil {
 			log.Warn("portfolio store open failed; racing storeless", "path", path, "err", err)
 		} else {
@@ -333,11 +305,11 @@ func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *M
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
-	for w := 0; w < m.workers; w++ {
+	for w := 0; w < m.cfg.Workers; w++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	if m.stuckAfter > 0 {
+	if m.cfg.StuckAfter > 0 {
 		m.wg.Add(1)
 		go m.watchdog()
 	}
@@ -350,7 +322,7 @@ func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *M
 // starts, so a requeue resumes rather than restarts) and a terminal 500.
 func (m *Manager) watchdog() {
 	defer m.wg.Done()
-	ticker := time.NewTicker(m.watchdogInterval)
+	ticker := time.NewTicker(m.cfg.WatchdogInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -370,7 +342,7 @@ func (m *Manager) watchdog() {
 			}
 			j.mu.Lock()
 			stuck := j.state == JobRunning && !j.kicked &&
-				!j.lastBeat.IsZero() && now.Sub(j.lastBeat) > m.stuckAfter
+				!j.lastBeat.IsZero() && now.Sub(j.lastBeat) > m.cfg.StuckAfter
 			if stuck {
 				j.kicked = true
 				kicks = append(kicks, j)
@@ -384,7 +356,7 @@ func (m *Manager) watchdog() {
 			j.mu.Unlock()
 			m.metrics.WatchdogKick()
 			m.log.Warn("watchdog: job made no progress; cancelling run",
-				"job", j.ID, "stuck_after", m.stuckAfter)
+				"job", j.ID, "stuck_after", m.cfg.StuckAfter)
 			if cancel != nil {
 				cancel()
 			}
@@ -406,7 +378,7 @@ func (m *Manager) Submit(req PartitionRequest, inst *hypergraph.Hypergraph,
 	if j, ok := m.inflight[key]; ok {
 		return j, true, nil
 	}
-	if m.queueCap > 0 && len(m.pq) >= m.queueCap {
+	if m.cfg.QueueCap > 0 && len(m.pq) >= m.cfg.QueueCap {
 		return nil, false, errQueueFull
 	}
 	m.nextSeq++
@@ -613,11 +585,11 @@ func (m *Manager) requeue(j *Job) bool {
 // pruneLocked bounds job history: oldest terminal jobs beyond historyCap are
 // forgotten. Queued and running jobs are never pruned.
 func (m *Manager) pruneLocked() {
-	if m.historyCap <= 0 || len(m.order) <= m.historyCap {
+	if m.cfg.HistoryCap <= 0 || len(m.order) <= m.cfg.HistoryCap {
 		return
 	}
 	kept := m.order[:0]
-	excess := len(m.order) - m.historyCap
+	excess := len(m.order) - m.cfg.HistoryCap
 	for _, id := range m.order {
 		j := m.jobs[id]
 		terminal := false
@@ -673,35 +645,68 @@ func (m *Manager) worker() {
 	}
 }
 
-// buildFactory mirrors cmd/hgpart's engine construction: StrongConfig FM
-// tuned per the paper's Tables 2/3, multilevel by default. Each factory call
-// constructs a fresh heuristic with a generator derived from the request
-// seed alone, so results are a pure function of (instance, config, seed).
-func buildFactory(req PartitionRequest, h *hypergraph.Hypergraph, bal partition.Balance) func() eval.Heuristic {
+// jobPlan is what a mode's pre-phase hands the shared job lifecycle: the
+// multistart to run, anything the pre-phase already settled, and how the
+// report describes the engine.
+type jobPlan struct {
+	// raw builds the heuristic (before progress tracking); seed roots the
+	// multistart and its checkpoint journal.
+	raw  func() eval.Heuristic
+	seed uint64
+	// workBudget bounds the multistart (0 = unbounded); spent is work the
+	// pre-phase already did, charged to the report and metrics.
+	workBudget int64
+	spent      int64
+	// fallback, when non-nil, is an already-polished legal best: the
+	// multistart's best replaces it only per portfolio.CommitWins, and a
+	// multistart with no legal start falls back to it instead of a 422.
+	fallback *eval.Outcome
+	// polishSeed seeds raw's PolishBest on a multistart-sourced final best.
+	polishSeed uint64
+	// engine and vcycles are the configuration the report names.
+	engine  string
+	vcycles int
+	// portfolio is the race section of a mode=portfolio report; the
+	// lifecycle fills in its Source.
+	portfolio *PortfolioReport
+}
+
+// fixedPlan is the pre-phase of a fixed-engine job. The engines mirror
+// cmd/hgpart's construction — StrongConfig FM tuned per the paper's Tables
+// 2/3, multilevel by default — with a generator derived from the request
+// seed alone, and the ML V-cycle polish uses the CLI's derived seed (the
+// flat engines' polish is a no-op), so service and CLI answers agree byte
+// for byte.
+func fixedPlan(req PartitionRequest, h *hypergraph.Hypergraph, bal partition.Balance) *jobPlan {
+	p := &jobPlan{
+		seed:       req.Seed,
+		workBudget: req.WorkBudget,
+		polishSeed: req.Seed ^ 0x9e3779b97f4a7c15,
+		engine:     req.Engine,
+		vcycles:    req.VCycles,
+	}
 	switch req.Engine {
 	case "flat":
-		return func() eval.Heuristic {
+		p.raw = func() eval.Heuristic {
 			return eval.NewFlat("flat-FM", h, core.StrongConfig(false), bal, rng.New(req.Seed))
 		}
 	case "clip":
-		return func() eval.Heuristic {
+		p.raw = func() eval.Heuristic {
 			return eval.NewFlat("flat-CLIP", h, core.StrongConfig(true), bal, rng.New(req.Seed))
 		}
 	default:
-		return func() eval.Heuristic {
+		p.raw = func() eval.Heuristic {
 			return eval.NewML("ML", h, multilevel.Config{Refine: core.StrongConfig(false)}, bal, req.VCycles)
 		}
 	}
+	return p
 }
 
-// run executes one job end to end: multistart through the fault-tolerant
-// harness under the job's context, deterministic report construction,
-// cache fill, checkpoint lifecycle and metrics.
+// run executes one job end to end: the mode's pre-phase, then the one
+// shared lifecycle — checkpointed multistart through the fault-tolerant
+// harness under the job's context, cancellation dispositions, deterministic
+// report construction, cache fill, journal retirement and metrics.
 func (m *Manager) run(j *Job) {
-	if j.req.Mode == "portfolio" {
-		m.runPortfolio(j)
-		return
-	}
 	t0 := time.Now()
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.mu.Lock()
@@ -709,34 +714,63 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
+	// The wall budget bounds the whole job. The pre-phase runs under it as a
+	// deadline (a race that cannot finish in time is a 422); the multistart
+	// gets what is left as its own budget under the undeadlined job context,
+	// so an expiry there is an incomplete report, never a cancellation.
+	preCtx := ctx
+	var deadline time.Time
+	if j.req.WallBudgetMS > 0 {
+		deadline = t0.Add(time.Duration(j.req.WallBudgetMS) * time.Millisecond)
+		var dcancel context.CancelFunc
+		preCtx, dcancel = context.WithDeadline(ctx, deadline)
+		defer dcancel()
+	}
+
 	bal := partition.NewBalance(j.inst.TotalVertexWeight(), j.req.Tolerance)
-	raw := m.factory(j.req, j.inst, bal)
-	factory := func() eval.Heuristic { return progressHeuristic{inner: raw(), job: j} }
+	var p *jobPlan
+	if j.req.Mode == "portfolio" {
+		var err error
+		if p, err = m.portfolioPlan(preCtx, j, bal); err != nil {
+			if ctx.Err() != nil {
+				m.cancelled(j, 0, "")
+			} else {
+				m.fail(j, 422, err.Error())
+			}
+			return
+		}
+	} else {
+		p = fixedPlan(j.req, j.inst, bal)
+	}
+	if m.cfg.testWrap != nil {
+		p.raw = m.cfg.testWrap(p.raw)
+	}
+	factory := func() eval.Heuristic { return progressHeuristic{inner: p.raw(), job: j} }
 
 	opt := eval.RunOptions{
 		Workers:    j.req.Workers,
-		MaxRetries: m.maxRetries,
+		MaxRetries: m.cfg.MaxRetries,
 		// Every served answer is verified against a from-scratch recount and
 		// the balance constraint; an infeasible tolerance therefore fails all
 		// starts and surfaces as 422 instead of a silently-illegal partition.
-		Verify: eval.VerifyOutcome(bal),
+		Verify:     eval.VerifyOutcome(bal),
+		WorkBudget: p.workBudget,
 		// When the watchdog cancels a wedged run, don't wait forever for the
 		// wedged start: abandon it after the same stuck threshold so the
 		// worker slot can requeue the job. Zero disables abandonment.
-		AbandonGrace: m.stuckAfter,
+		AbandonGrace: m.cfg.StuckAfter,
 	}
-	if opt.Workers <= 0 || opt.Workers > m.startWorkers {
-		opt.Workers = m.startWorkers
+	if opt.Workers <= 0 || opt.Workers > m.cfg.StartWorkers {
+		opt.Workers = m.cfg.StartWorkers
 	}
-	if j.req.WallBudgetMS > 0 {
-		opt.WallBudget = time.Duration(j.req.WallBudgetMS) * time.Millisecond
+	if !deadline.IsZero() {
+		opt.WallBudget = max(time.Until(deadline), time.Millisecond)
 	}
-	opt.WorkBudget = j.req.WorkBudget
 
 	var cpPath string
-	if m.checkpointDir != "" {
-		cpPath = filepath.Join(m.checkpointDir, j.Key+".jsonl")
-		cp, err := eval.OpenCheckpointFS(m.fs, cpPath, j.Key, j.req.Seed, j.req.Starts, true)
+	if m.cfg.CheckpointDir != "" {
+		cpPath = filepath.Join(m.cfg.CheckpointDir, j.Key+".jsonl")
+		cp, err := eval.OpenCheckpointFS(m.cfg.FS, cpPath, j.Key, p.seed, j.req.Starts, true)
 		if err != nil {
 			// A corrupt journal must not take the job down; run without one.
 			m.log.Warn("checkpoint open failed; running without journal",
@@ -758,8 +792,8 @@ func (m *Manager) run(j *Job) {
 		}
 	}
 
-	rep := eval.RunMultistart(ctx, factory, j.req.Starts, j.req.Seed, opt)
-	m.metrics.ObserveRun(time.Since(t0), rep.TotalWork)
+	rep := eval.RunMultistart(ctx, factory, j.req.Starts, p.seed, opt)
+	m.metrics.ObserveRun(time.Since(t0), p.spent+rep.TotalWork)
 	if rep.JournalErr != nil {
 		// Journal writes degraded (disk full, fsync failure, ...): the run's
 		// answer is still sound, but a crash would lose the unjournaled
@@ -767,64 +801,24 @@ func (m *Manager) run(j *Job) {
 		m.log.Error("checkpoint journal degraded; completed starts may not be durable",
 			"job", j.ID, "path", cpPath, "err", rep.JournalErr)
 	}
-
-	// A watchdog kick is handled before anything else: the run was cancelled
-	// not by a client or a drain but because it wedged, and the job deserves
-	// another chance on a (possibly healthier) worker. The inflight entry is
-	// kept across the requeue so identical submissions keep coalescing, and
-	// the journal turns the retry into a resume of the completed starts.
-	j.mu.Lock()
-	kicked := j.kicked
-	requeues := j.requeues
-	j.mu.Unlock()
-	if kicked && rep.Incomplete && rep.Reason == "cancelled" && !m.isDraining() {
-		if requeues < m.maxRequeues && m.requeue(j) {
-			m.metrics.JobRequeued()
-			m.log.Warn("watchdog: requeued stuck job",
-				"job", j.ID, "requeue", requeues+1, "of", m.maxRequeues,
-				"completed", rep.Completed, "starts", j.req.Starts)
-			return
-		}
-		m.removeInflight(j.Key)
-		j.finish(JobFailed, 500, nil, fmt.Sprintf(
-			"job made no progress for %s and exhausted %d requeue(s); %d of %d starts checkpointed",
-			m.stuckAfter, m.maxRequeues, rep.Completed, j.req.Starts))
-		m.metrics.JobFinished(JobFailed)
-		m.log.Error("watchdog: job failed after exhausting requeues",
-			"job", j.ID, "requeues", requeues, "completed", rep.Completed)
+	if rep.Incomplete && rep.Reason == "cancelled" {
+		m.cancelled(j, rep.Completed, cpPath)
 		return
 	}
-	m.removeInflight(j.Key)
-
-	switch {
-	case rep.Incomplete && rep.Reason == "cancelled":
-		if m.isDraining() {
-			j.finish(JobInterrupted, 503, nil, fmt.Sprintf(
-				"service drained mid-run: %d of %d starts checkpointed; resubmit the identical request to resume",
-				rep.Completed, j.req.Starts))
-			m.metrics.JobFinished(JobInterrupted)
-			m.log.Info("job interrupted by drain", "job", j.ID,
-				"completed", rep.Completed, "starts", j.req.Starts, "checkpoint", cpPath)
-		} else {
-			j.finish(JobCanceled, 409, nil, fmt.Sprintf(
-				"job cancelled: %d of %d starts completed", rep.Completed, j.req.Starts))
-			m.metrics.JobFinished(JobCanceled)
-		}
-		return
-	case rep.BestIdx < 0:
+	if rep.BestIdx < 0 && p.fallback == nil {
 		msg := "no legal partition found (tolerance may be infeasible)"
 		if fr := firstErr(rep); fr != "" {
 			msg += ": " + fr
 		}
 		if cpPath != "" {
-			m.fs.Remove(cpPath)
+			m.cfg.FS.Remove(cpPath)
 		}
-		j.finish(JobFailed, 422, nil, msg)
-		m.metrics.JobFinished(JobFailed)
+		m.fail(j, 422, msg)
 		return
 	}
+	m.removeInflight(j.Key)
 
-	report, err := m.buildReport(ctx, j, bal, raw, rep)
+	report, err := m.buildReport(ctx, j, bal, p, rep)
 	if err != nil {
 		j.finish(JobFailed, 500, nil, err.Error())
 		m.metrics.JobFinished(JobFailed)
@@ -842,46 +836,105 @@ func (m *Manager) run(j *Job) {
 		// journal — the cache now answers faster than a resume would.
 		m.cache.Put(j.Key, body)
 		if cpPath != "" {
-			m.fs.Remove(cpPath)
+			m.cfg.FS.Remove(cpPath)
 		}
 	}
 	j.finish(JobDone, 200, body, "")
 	m.metrics.JobFinished(JobDone)
-	m.log.Info("job done", "job", j.ID, "instance", j.instName,
+	m.log.Info("job done", "job", j.ID, "instance", j.instName, "engine", report.Engine,
 		"cut", report.Cut, "work", report.Work, "incomplete", report.Incomplete,
 		"elapsed_ms", time.Since(t0).Milliseconds())
 }
 
-// buildReport assembles the deterministic Report from the harness result.
-// ctx bounds the optional parallel-refine polish; a cancelled polish fails
-// the job rather than caching a partially refined answer.
-func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance,
-	raw func() eval.Heuristic, rep *eval.RunReport) (*Report, error) {
-	best := rep.Best
-	if best.P == nil {
-		// The best start was resumed from the journal: recompute exactly
-		// that start to recover its partition. Determinism makes this a
-		// lookup, not a gamble — the cut must match the journaled one.
-		o, err := eval.RerunStart(raw, j.req.Seed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
-		if err != nil {
-			return nil, fmt.Errorf("recompute resumed best start %d: %w", rep.BestIdx, err)
-		}
-		if o.Cut != best.Cut {
-			return nil, fmt.Errorf("recomputed start %d cut %d != journaled %d (corrupt checkpoint?)",
-				rep.BestIdx, o.Cut, best.Cut)
-		}
-		best = o
-	}
+// fail ends a job with an error status before any report exists.
+func (m *Manager) fail(j *Job, status int, msg string) {
+	m.removeInflight(j.Key)
+	j.finish(JobFailed, status, nil, msg)
+	m.metrics.JobFinished(JobFailed)
+}
 
-	work := rep.TotalWork
-	cut := best.Cut
-	// ML V-cycle polish on the best solution, with the same derived seed the
-	// CLI uses, so service and CLI answers agree byte for byte.
-	if j.req.Engine == "ml" && j.req.VCycles > 0 {
-		if polish := raw().PolishBest(best.P, rng.New(j.req.Seed^0x9e3779b97f4a7c15)); polish.P != nil {
-			cut = polish.Cut
+// cancelled settles a job whose context was cancelled in either phase, with
+// completed multistart starts checkpointed at cpPath. A watchdog kick is
+// handled first: the run wedged rather than being stopped, so it deserves
+// another chance on a (possibly healthier) worker — the inflight entry
+// survives the requeue so identical submissions keep coalescing, and the
+// journal turns the retry into a resume (a pre-phase is cheap and reruns
+// deterministically). Otherwise a drain interrupts the job (503, journal
+// kept for a resubmission to resume) and anything else is a client cancel.
+func (m *Manager) cancelled(j *Job, completed int, cpPath string) {
+	j.mu.Lock()
+	kicked := j.kicked
+	requeues := j.requeues
+	j.mu.Unlock()
+	if kicked && !m.isDraining() {
+		if requeues < m.cfg.MaxRequeues && m.requeue(j) {
+			m.metrics.JobRequeued()
+			m.log.Warn("watchdog: requeued stuck job",
+				"job", j.ID, "requeue", requeues+1, "of", m.cfg.MaxRequeues,
+				"completed", completed, "starts", j.req.Starts)
+			return
+		}
+		m.fail(j, 500, fmt.Sprintf(
+			"job made no progress for %s and exhausted %d requeue(s); %d of %d starts checkpointed",
+			m.cfg.StuckAfter, m.cfg.MaxRequeues, completed, j.req.Starts))
+		m.log.Error("watchdog: job failed after exhausting requeues",
+			"job", j.ID, "requeues", requeues, "completed", completed)
+		return
+	}
+	m.removeInflight(j.Key)
+	if m.isDraining() {
+		j.finish(JobInterrupted, 503, nil, fmt.Sprintf(
+			"service drained mid-run: %d of %d starts checkpointed; resubmit the identical request to resume",
+			completed, j.req.Starts))
+		m.metrics.JobFinished(JobInterrupted)
+		m.log.Info("job interrupted by drain", "job", j.ID,
+			"completed", completed, "starts", j.req.Starts, "checkpoint", cpPath)
+		return
+	}
+	j.finish(JobCanceled, 409, nil, fmt.Sprintf(
+		"job cancelled: %d of %d starts completed", completed, j.req.Starts))
+	m.metrics.JobFinished(JobCanceled)
+}
+
+// buildReport assembles the deterministic Report from the plan and the
+// harness result. ctx bounds the optional parallel-refine polish; a
+// cancelled polish fails the job rather than caching a partially refined
+// answer.
+func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance,
+	p *jobPlan, rep *eval.RunReport) (*Report, error) {
+	work := p.spent + rep.TotalWork
+	var best eval.Outcome
+	source := "race"
+	if portfolio.CommitWins(rep, p.fallback) {
+		source = "commit"
+		best = rep.Best
+		if best.P == nil {
+			// The best start was resumed from the journal: recompute exactly
+			// that start to recover its partition. Determinism makes this a
+			// lookup, not a gamble — the cut must match the journaled one.
+			o, err := eval.RerunStart(p.raw, p.seed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
+			if err != nil {
+				return nil, fmt.Errorf("recompute resumed best start %d: %w", rep.BestIdx, err)
+			}
+			if o.Cut != best.Cut {
+				return nil, fmt.Errorf("recomputed start %d cut %d != journaled %d (corrupt checkpoint?)",
+					rep.BestIdx, o.Cut, best.Cut)
+			}
+			best = o
+		}
+		if polish := p.raw().PolishBest(best.P, rng.New(p.polishSeed)); polish.P != nil {
+			best.Cut = polish.Cut
 			work += polish.Work
 		}
+	} else {
+		best = *p.fallback
+	}
+	cut := best.Cut
+	// MinCut keeps the paper's raw-multistart discipline; only when no start
+	// succeeded (a portfolio commit) does it fall back to the race best.
+	minCut := best.Cut
+	if rep.BestIdx >= 0 {
+		minCut = rep.Best.Cut
 	}
 
 	// Optional deterministic parallel FM polish: synchronous rounds of
@@ -896,8 +949,8 @@ func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance
 	side0, side1 := best.P.Area(0), best.P.Area(1)
 	if j.req.RefineThreads > 0 {
 		threads := j.req.RefineThreads
-		if m.maxRefineThreads > 0 && threads > m.maxRefineThreads {
-			threads = m.maxRefineThreads
+		if m.cfg.MaxRefineThreads > 0 && threads > m.cfg.MaxRefineThreads {
+			threads = m.cfg.MaxRefineThreads
 		}
 		parts := make(objective.Assignment, j.inst.NumVertices())
 		for v := range parts {
@@ -917,8 +970,8 @@ func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance
 		refineRounds = pres.Rounds
 		refineMoves = pres.Moves
 		side0, side1 = 0, 0
-		for v, p := range parts {
-			if p == 0 {
+		for v, side := range parts {
+			if side == 0 {
 				side0 += j.inst.VertexWeight(int32(v))
 			} else {
 				side1 += j.inst.VertexWeight(int32(v))
@@ -933,14 +986,14 @@ func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance
 		Vertices:     j.inst.NumVertices(),
 		Edges:        j.inst.NumEdges(),
 		Pins:         j.inst.NumPins(),
-		Engine:       j.req.Engine,
+		Engine:       p.engine,
 		Starts:       j.req.Starts,
-		VCycles:      j.req.VCycles,
+		VCycles:      p.vcycles,
 		Tolerance:    j.req.Tolerance,
 		Seed:         j.req.Seed,
 		CacheKey:     j.Key,
 		Cut:          cut,
-		MinCut:       rep.Best.Cut,
+		MinCut:       minCut,
 		BestStart:    rep.BestIdx,
 		Side0:        side0,
 		Side1:        side1,
@@ -954,6 +1007,10 @@ func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance
 		Work:         work,
 	}
 	r.NormalizedSeconds = float64(work) / eval.WorkUnitsPerSecond
+	if p.portfolio != nil {
+		r.Portfolio = p.portfolio
+		r.Portfolio.Source = source
+	}
 
 	// Start-order BSF trajectory and the min/avg discipline over successful
 	// starts: both pure functions of the per-start outcomes.

@@ -2,327 +2,60 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"path/filepath"
-	"time"
 
-	"hgpart/internal/eval"
 	"hgpart/internal/partition"
 	"hgpart/internal/portfolio"
-	"hgpart/internal/rng"
 )
 
-// runPortfolio executes a mode=portfolio job: race the curated arm portfolio
-// for the first slice of the request's budget, then commit the remaining
-// budget to the winning arm as an ordinary checkpointed multistart. The
-// report is a pure function of (instance, starts, tolerance, seed, work
-// budget) — the shared outcome store only feeds logs and metrics, so a warm
-// store, a restart, or a different cluster topology cannot change a byte.
-// See DESIGN.md §15.
-func (m *Manager) runPortfolio(j *Job) {
-	t0 := time.Now()
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-	defer cancel()
-	// The wall budget bounds the whole schedule, race included. A wall
-	// expiry during the commit surfaces as the usual incomplete report; an
-	// expiry during the race (budget far too small to race at all) is a 422.
-	if j.req.WallBudgetMS > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, time.Duration(j.req.WallBudgetMS)*time.Millisecond)
-		defer tcancel()
-	}
-
-	bal := partition.NewBalance(j.inst.TotalVertexWeight(), j.req.Tolerance)
+// portfolioPlan is the mode=portfolio pre-phase: race the curated arm
+// portfolio for the first slice of the request's work budget, then hand the
+// shared lifecycle the winning arm to commit the remainder to, with the
+// race's polished best as the fallback the commit must beat. The report is a
+// pure function of (instance, starts, tolerance, seed, work budget) — the
+// shared outcome store only feeds logs and metrics, so a warm store, a
+// restart, or a different cluster topology cannot change a byte. ctx carries
+// the job's wall deadline; an expiry here (budget far too small to race at
+// all) is an error, reported as 422. See DESIGN.md §15.
+func (m *Manager) portfolioPlan(ctx context.Context, j *Job, bal partition.Balance) (*jobPlan, error) {
 	sched := &portfolio.Scheduler{
 		Store:    m.store,
 		Progress: func(string, int64) { j.beat() },
 	}
-	raceWork := int64(0)
-	if j.req.WorkBudget > 0 {
-		raceWork = j.req.WorkBudget / 4
-	}
-
-	j.beat()
-	race, err := sched.Race(ctx, j.inst, bal, j.req.Seed, raceWork)
-	if err != nil {
-		m.finishFailedRace(j, err)
-		return
+	race, err := sched.Race(ctx, j.inst, bal, j.req.Seed, portfolio.RaceBudget(j.req.WorkBudget))
+	switch {
+	case errors.Is(err, portfolio.ErrInfeasible):
+		return nil, errors.New("portfolio race found no legal partition (tolerance may be infeasible)")
+	case errors.Is(err, context.DeadlineExceeded):
+		return nil, errors.New("wall budget expired during the portfolio race; raise wall_budget_ms")
+	case err != nil:
+		return nil, err
 	}
 	arm := race.Arms[race.Winner]
-	if serr := m.store; serr != nil && serr.Err() != nil {
+	if st := m.store; st != nil && st.Err() != nil {
 		m.log.Warn("portfolio store degraded; outcomes may not persist",
-			"job", j.ID, "err", serr.Err())
+			"job", j.ID, "err", st.Err())
 	}
 	m.metrics.PortfolioRace(race.Bucket.Key(), arm.Name, race.StoreHit)
 	m.log.Info("portfolio race", "job", j.ID, "bucket", race.Bucket.Key(),
 		"winner", arm.Name, "predicted", race.Predicted, "store_hit", race.StoreHit,
 		"race_work", race.RaceWork)
 
-	// Commit phase: the winner's arm runs the request's multistart rooted at
-	// the commit seed, with the same retry/verify/checkpoint machinery as the
-	// fixed path. Worker count stays an execution knob: the harness pre-splits
-	// seeds, and budget-truncated runs are never cached.
 	cseed := portfolio.CommitSeed(j.req.Seed)
-	craw := arm.Factory(j.inst, bal, cseed)
-	factory := func() eval.Heuristic { return progressHeuristic{inner: craw(), job: j} }
-	opt := eval.RunOptions{
-		Workers:      j.req.Workers,
-		MaxRetries:   m.maxRetries,
-		Verify:       eval.VerifyOutcome(bal),
-		AbandonGrace: m.stuckAfter,
-	}
-	if opt.Workers <= 0 || opt.Workers > m.startWorkers {
-		opt.Workers = m.startWorkers
-	}
-	if j.req.WallBudgetMS > 0 {
-		opt.WallBudget = time.Duration(j.req.WallBudgetMS)*time.Millisecond - time.Since(t0)
-		if opt.WallBudget < time.Millisecond {
-			opt.WallBudget = time.Millisecond
-		}
-	}
-	if j.req.WorkBudget > 0 {
-		remaining := j.req.WorkBudget - race.RaceWork
-		if remaining < 1 {
-			remaining = 1 // the commit always gets at least one start
-		}
-		opt.WorkBudget = remaining
-	}
-
-	var cpPath string
-	if m.checkpointDir != "" {
-		cpPath = filepath.Join(m.checkpointDir, j.Key+".jsonl")
-		cp, err := eval.OpenCheckpointFS(m.fs, cpPath, j.Key, cseed, j.req.Starts, true)
-		if err != nil {
-			m.log.Warn("checkpoint open failed; running without journal",
-				"job", j.ID, "path", cpPath, "err", err)
-			cpPath = ""
-		} else {
-			defer cp.Close()
-			opt.Checkpoint = cp
-			if q := cp.Quarantined(); len(q) > 0 {
-				m.log.Warn("checkpoint journal had damaged records; quarantined",
-					"job", j.ID, "records", len(q), "lost_starts", cp.LostStarts())
-			}
-			if n := cp.Resumed(); n > 0 {
-				j.mu.Lock()
-				j.resumed = n
-				j.mu.Unlock()
-				m.log.Info("resuming from checkpoint", "job", j.ID, "starts", n)
-			}
-		}
-	}
-
-	rep := eval.RunMultistart(ctx, factory, j.req.Starts, cseed, opt)
-	m.metrics.ObserveRun(time.Since(t0), race.RaceWork+rep.TotalWork)
-	if rep.JournalErr != nil {
-		m.log.Error("checkpoint journal degraded; completed starts may not be durable",
-			"job", j.ID, "path", cpPath, "err", rep.JournalErr)
-	}
-
-	// Watchdog kick during the commit: same requeue discipline as the fixed
-	// path. The journal preserves completed commit starts, and the race reruns
-	// deterministically on the next attempt (it is the cheap slice).
-	j.mu.Lock()
-	kicked := j.kicked
-	requeues := j.requeues
-	j.mu.Unlock()
-	if kicked && rep.Incomplete && rep.Reason == "cancelled" && !m.isDraining() {
-		if requeues < m.maxRequeues && m.requeue(j) {
-			m.metrics.JobRequeued()
-			m.log.Warn("watchdog: requeued stuck portfolio job",
-				"job", j.ID, "requeue", requeues+1, "of", m.maxRequeues,
-				"completed", rep.Completed, "starts", j.req.Starts)
-			return
-		}
-		m.removeInflight(j.Key)
-		j.finish(JobFailed, 500, nil, fmt.Sprintf(
-			"job made no progress for %s and exhausted %d requeue(s); %d of %d commit starts checkpointed",
-			m.stuckAfter, m.maxRequeues, rep.Completed, j.req.Starts))
-		m.metrics.JobFinished(JobFailed)
-		return
-	}
-	m.removeInflight(j.Key)
-
-	if rep.Incomplete && rep.Reason == "cancelled" {
-		if m.isDraining() {
-			j.finish(JobInterrupted, 503, nil, fmt.Sprintf(
-				"service drained mid-commit: %d of %d starts checkpointed; resubmit the identical request to resume",
-				rep.Completed, j.req.Starts))
-			m.metrics.JobFinished(JobInterrupted)
-		} else {
-			j.finish(JobCanceled, 409, nil, fmt.Sprintf(
-				"job cancelled: %d of %d commit starts completed", rep.Completed, j.req.Starts))
-			m.metrics.JobFinished(JobCanceled)
-		}
-		return
-	}
-	// Unlike the fixed path, rep.BestIdx < 0 is not fatal here: the race
-	// already holds a verified-legal best, so the commit merely failed to
-	// improve on it.
-
-	report, err := m.buildPortfolioReport(j, bal, craw, cseed, race, rep)
-	if err != nil {
-		j.finish(JobFailed, 500, nil, err.Error())
-		m.metrics.JobFinished(JobFailed)
-		m.log.Error("portfolio report construction failed", "job", j.ID, "err", err)
-		return
-	}
-	body, err := json.Marshal(report)
-	if err != nil {
-		j.finish(JobFailed, 500, nil, fmt.Sprintf("encode report: %v", err))
-		m.metrics.JobFinished(JobFailed)
-		return
-	}
-	if !rep.Incomplete {
-		m.cache.Put(j.Key, body)
-		if cpPath != "" {
-			m.fs.Remove(cpPath)
-		}
-	}
-	j.finish(JobDone, 200, body, "")
-	m.metrics.JobFinished(JobDone)
-	m.log.Info("portfolio job done", "job", j.ID, "instance", j.instName,
-		"bucket", report.Portfolio.Bucket, "winner", report.Portfolio.Winner,
-		"source", report.Portfolio.Source, "cut", report.Cut, "work", report.Work,
-		"incomplete", report.Incomplete, "elapsed_ms", time.Since(t0).Milliseconds())
-}
-
-// finishFailedRace maps a race error onto the job dispositions the fixed
-// path uses: infeasible tolerance → 422, wall expiry mid-race → 422 (the
-// budget cannot even cover the racing slice), watchdog kick → bounded
-// requeue, drain → 503, client cancel → 409.
-func (m *Manager) finishFailedRace(j *Job, err error) {
-	if errors.Is(err, portfolio.ErrInfeasible) {
-		m.removeInflight(j.Key)
-		j.finish(JobFailed, 422, nil,
-			"portfolio race found no legal partition (tolerance may be infeasible)")
-		m.metrics.JobFinished(JobFailed)
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		m.removeInflight(j.Key)
-		j.finish(JobFailed, 422, nil,
-			"wall budget expired during the portfolio race; raise wall_budget_ms")
-		m.metrics.JobFinished(JobFailed)
-		return
-	}
-	j.mu.Lock()
-	kicked := j.kicked
-	requeues := j.requeues
-	j.mu.Unlock()
-	if kicked && !m.isDraining() && requeues < m.maxRequeues && m.requeue(j) {
-		m.metrics.JobRequeued()
-		m.log.Warn("watchdog: requeued portfolio job kicked during race",
-			"job", j.ID, "requeue", requeues+1, "of", m.maxRequeues)
-		return
-	}
-	m.removeInflight(j.Key)
-	if m.isDraining() {
-		// No partial races survive a drain: the race is the cheap slice and
-		// reruns deterministically on resubmission.
-		j.finish(JobInterrupted, 503, nil,
-			"service drained during the portfolio race; resubmit the identical request to rerun")
-		m.metrics.JobFinished(JobInterrupted)
-		return
-	}
-	j.finish(JobCanceled, 409, nil, "job cancelled during the portfolio race")
-	m.metrics.JobFinished(JobCanceled)
-}
-
-// buildPortfolioReport assembles the deterministic mode=portfolio Report:
-// the race trace plus the commit multistart summary, with the final answer
-// taken from whichever phase produced the lower cut (ties favor the race,
-// whose best is already polished). A commit-sourced best that was resumed
-// from the journal is recomputed exactly, then polished once with the
-// winning arm's own polish step.
-func (m *Manager) buildPortfolioReport(j *Job, bal partition.Balance,
-	craw func() eval.Heuristic, cseed uint64, race *portfolio.RaceResult,
-	rep *eval.RunReport) (*Report, error) {
-	arm := race.Arms[race.Winner]
-	final := race.Best
-	source := "race"
-	work := race.RaceWork + rep.TotalWork
-	if rep.BestIdx >= 0 && rep.Best.Cut < final.Cut {
-		best := rep.Best
-		if best.P == nil {
-			o, err := eval.RerunStart(craw, cseed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
-			if err != nil {
-				return nil, fmt.Errorf("recompute resumed commit start %d: %w", rep.BestIdx, err)
-			}
-			if o.Cut != best.Cut {
-				return nil, fmt.Errorf("recomputed commit start %d cut %d != journaled %d (corrupt checkpoint?)",
-					rep.BestIdx, o.Cut, best.Cut)
-			}
-			best = o
-		}
-		final = best
-		source = "commit"
-		ph := arm.NewHeuristic(j.inst, bal, rng.New(cseed))
-		if polish := ph.PolishBest(final.P, rng.New(portfolio.PolishSeed(j.req.Seed))); polish.P != nil {
-			final.Cut = polish.Cut
-			work += polish.Work
-		}
-	}
-
-	// MinCut keeps the paper's raw-multistart discipline over the commit
-	// phase; when no commit start succeeded it falls back to the race best.
-	minCut := final.Cut
-	if rep.BestIdx >= 0 {
-		minCut = rep.Best.Cut
-	}
-	r := &Report{
-		Schema:       "hgserved/v1",
-		Instance:     j.instName,
-		InstanceHash: j.instHash,
-		Vertices:     j.inst.NumVertices(),
-		Edges:        j.inst.NumEdges(),
-		Pins:         j.inst.NumPins(),
-		Engine:       "portfolio",
-		Starts:       j.req.Starts,
-		VCycles:      arm.VCycles,
-		Tolerance:    j.req.Tolerance,
-		Seed:         j.req.Seed,
-		CacheKey:     j.Key,
-		Cut:          final.Cut,
-		MinCut:       minCut,
-		BestStart:    rep.BestIdx,
-		Side0:        final.P.Area(0),
-		Side1:        final.P.Area(1),
-		Completed:    rep.Completed,
-		Failed:       rep.Failed,
-		Skipped:      rep.Skipped,
-		Incomplete:   rep.Incomplete,
-		Reason:       rep.Reason,
-		Work:         work,
-		Portfolio: &PortfolioReport{
+	return &jobPlan{
+		raw:        arm.Factory(j.inst, bal, cseed),
+		seed:       cseed,
+		workBudget: portfolio.CommitBudget(j.req.WorkBudget, race.RaceWork),
+		spent:      race.RaceWork,
+		fallback:   &race.Best,
+		polishSeed: portfolio.PolishSeed(j.req.Seed),
+		engine:     "portfolio",
+		vcycles:    arm.VCycles,
+		portfolio: &PortfolioReport{
 			Bucket:   race.Bucket.Key(),
 			Arms:     race.Traces,
 			Winner:   arm.Name,
 			RaceWork: race.RaceWork,
-			Source:   source,
 		},
-	}
-	r.NormalizedSeconds = float64(work) / eval.WorkUnitsPerSecond
-
-	var sum int64
-	n := 0
-	for _, sr := range rep.Results {
-		if sr.Status != eval.StartOK {
-			continue
-		}
-		sum += sr.Outcome.Cut
-		n++
-		if len(r.BSF) == 0 || sr.Outcome.Cut < r.BSF[len(r.BSF)-1].Cut {
-			r.BSF = append(r.BSF, BSFEntry{Start: sr.Start, Cut: sr.Outcome.Cut})
-		}
-	}
-	if n > 0 {
-		r.AvgCut = float64(sum) / float64(n)
-	}
-	return r, nil
+	}, nil
 }

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -155,5 +156,96 @@ func TestStatsHitRatio(t *testing.T) {
 	post(t, hs, smallReq) // hit
 	if text := stats(); !strings.Contains(text, "0.500") {
 		t.Fatalf("/v1/stats hit ratio not 0.500 after one miss + one hit:\n%s", text)
+	}
+}
+
+// TestPortfolioWallBudgetNeverReportsCancelled: a wall budget that expires
+// mid-job is a budget outcome, never a cancellation. Expiring during the
+// commit must yield the documented incomplete 200 (uncached); expiring
+// during the race is the one 422. No budget may surface as 409 "job
+// cancelled" — the outer deadline and the commit's own wall budget used to
+// race, and the outer one almost always won.
+func TestPortfolioWallBudgetNeverReportsCancelled(t *testing.T) {
+	_, hs := testServer(t, func(c *service.Config) { c.StartWorkers = 1 })
+	// Double the budget from 1ms until one expires during the commit: the
+	// sweep adapts to the host (and the race detector's slowdown) while
+	// covering both phases. 2000 commit starts outlast every budget tried.
+	for ms := 1; ms <= 16000; ms *= 2 {
+		body := fmt.Sprintf(`{"benchmark":"ibm01","scale":0.1,"mode":"portfolio","starts":2000,"seed":9,"wall_budget_ms":%d}`, ms)
+		resp, out := post(t, hs, body)
+		switch resp.StatusCode {
+		case 200:
+			var rep service.Report
+			if err := json.Unmarshal(out, &rep); err != nil {
+				t.Fatalf("wall %dms: report does not parse: %v", ms, err)
+			}
+			if !rep.Incomplete || rep.Reason != "wall-clock budget exhausted" {
+				t.Fatalf("wall %dms: 200 with incomplete=%v reason %q, want an expired commit",
+					ms, rep.Incomplete, rep.Reason)
+			}
+			if code := getJSON(t, hs, "/internal/v1/cache/"+rep.CacheKey, nil); code != http.StatusNotFound {
+				t.Fatalf("wall %dms: incomplete report was cached (peer lookup %d)", ms, code)
+			}
+			return
+		case 422:
+			if !strings.Contains(string(out), "wall budget expired during the portfolio race") {
+				t.Fatalf("wall %dms: 422 without the race-expiry message: %s", ms, out)
+			}
+		default:
+			t.Fatalf("wall %dms: status %d %s", ms, resp.StatusCode, out)
+		}
+	}
+	t.Fatal("no budget up to 16s expired during the commit")
+}
+
+// TestPortfolioWorkBudgetKeyed: the race's per-arm share is work_budget/4,
+// so a complete budgeted portfolio report carries different arm traces than
+// the unbudgeted one and must not share its cache entry.
+func TestPortfolioWorkBudgetKeyed(t *testing.T) {
+	// Reference: the unbudgeted answer from a fresh server, whose one-start
+	// arm traces also size a budget that gives every arm several race starts
+	// and the commit ample room to finish.
+	_, ref := testServer(t, nil)
+	refResp, refBody := post(t, ref, portfolioReq)
+	if refResp.StatusCode != 200 {
+		t.Fatalf("reference run failed: %d %s", refResp.StatusCode, refBody)
+	}
+	var refRep service.Report
+	if err := json.Unmarshal(refBody, &refRep); err != nil {
+		t.Fatal(err)
+	}
+	var maxWork int64
+	for _, a := range refRep.Portfolio.Arms {
+		maxWork = max(maxWork, a.Work)
+	}
+	budget := 4 * int64(len(refRep.Portfolio.Arms)) * 3 * maxWork
+
+	_, hs := testServer(t, nil)
+	budgeted := strings.Replace(portfolioReq, `"seed":7`, fmt.Sprintf(`"seed":7,"work_budget":%d`, budget), 1)
+	resp, body := post(t, hs, budgeted)
+	if resp.StatusCode != 200 {
+		t.Fatalf("budgeted run failed: %d %s", resp.StatusCode, body)
+	}
+	var rep service.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Incomplete {
+		t.Fatalf("budget %d truncated the run (%s); the test needs a complete budgeted report", budget, rep.Reason)
+	}
+	if rep.Portfolio.Arms[0].Starts < 2 {
+		t.Fatalf("budget %d gave arm 0 only %d race start(s); traces would match the unbudgeted race",
+			budget, rep.Portfolio.Arms[0].Starts)
+	}
+
+	resp2, body2 := post(t, hs, portfolioReq)
+	if resp2.StatusCode != 200 {
+		t.Fatalf("unbudgeted run failed: %d %s", resp2.StatusCode, body2)
+	}
+	if d := resp2.Header.Get("X-Hgserved-Cache"); d != "miss" {
+		t.Fatalf("unbudgeted request after a budgeted one: disposition %q, want miss", d)
+	}
+	if !bytes.Equal(body2, refBody) {
+		t.Fatalf("unbudgeted report differs from a fresh server's:\n%s\nvs\n%s", body2, refBody)
 	}
 }

@@ -264,9 +264,10 @@ func instanceHash(h *hypergraph.Hypergraph) string {
 
 // cacheKey derives the content-addressed result key: every field that can
 // change the deterministic report participates; fields that cannot (worker
-// count, budgets, priority) are deliberately excluded. Budget-truncated runs
-// are never cached, so a complete budgeted run may legitimately share its
-// key with the unbudgeted one — they are byte-identical.
+// count, priority, the wall budget, a fixed engine's work budget) are
+// deliberately excluded. Budget-truncated runs are never cached, so a
+// complete budgeted fixed-engine run may legitimately share its key with the
+// unbudgeted one — they are byte-identical.
 //
 // RefineThreads follows the same rule split in two: whether the parallel
 // polish runs changes the answer (so its presence is keyed), but the thread
@@ -280,11 +281,16 @@ func cacheKey(instHash string, r *PartitionRequest) string {
 		cfg += "|parfm=1"
 	}
 	if r.Mode == "portfolio" {
-		// The portfolio schedule replaces the fixed engine entirely; its
-		// report is a pure function of (instance, starts, tolerance, seed),
-		// so those fields stay in the key and the ignored engine/vcycles do
-		// no harm (they are normalized defaults under mode=portfolio).
+		// The portfolio schedule replaces the fixed engine entirely (the
+		// ignored engine/vcycles are normalized defaults). Its report is a
+		// pure function of (instance, starts, tolerance, seed, work budget):
+		// the race's per-arm share is work_budget/4, so even a complete
+		// budgeted report carries different arm traces than the unbudgeted
+		// one, and a non-zero work budget is keyed.
 		cfg += "|mode=portfolio"
+		if r.WorkBudget > 0 {
+			cfg += fmt.Sprintf("|work=%d", r.WorkBudget)
+		}
 	}
 	sum := sha256.Sum256([]byte(cfg))
 	return hex.EncodeToString(sum[:])

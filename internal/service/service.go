@@ -27,7 +27,6 @@ import (
 	"hgpart/internal/eval"
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/netlist"
-	"hgpart/internal/partition"
 	"hgpart/internal/report"
 )
 
@@ -104,9 +103,10 @@ type Config struct {
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
 
-	// testFactory, when non-nil, replaces buildFactory (tests only: it lets
-	// the watchdog suite wedge a start deterministically).
-	testFactory func(PartitionRequest, *hypergraph.Hypergraph, partition.Balance) func() eval.Heuristic
+	// testWrap, when non-nil, wraps every job's heuristic factory after its
+	// mode's pre-phase (tests only: it lets the watchdog and disposition
+	// suites wedge or slow a start deterministically).
+	testWrap func(func() eval.Heuristic) func() eval.Heuristic
 }
 
 // DefaultConfig returns production-shaped defaults.

@@ -1,7 +1,7 @@
 package service
 
-// In-package watchdog tests: they reach through Config.testFactory to plant
-// a heuristic that wedges forever, the one failure mode a cooperative
+// In-package watchdog tests: they reach through Config.testWrap to plant a
+// heuristic that wedges forever, the one failure mode a cooperative
 // cancellation model cannot unstick on its own. The watchdog must notice the
 // silent heartbeat, cancel the run, and either requeue (journal-backed
 // resume) or fail the job once requeues are exhausted.
@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"hgpart/internal/eval"
-	"hgpart/internal/hypergraph"
-	"hgpart/internal/partition"
 	"hgpart/internal/rng"
 )
 
@@ -58,8 +56,7 @@ func watchdogServer(t *testing.T, wedgeAll bool, maxRequeues int) (*Server, *htt
 	cfg.StuckAfter = 80 * time.Millisecond
 	cfg.WatchdogInterval = 10 * time.Millisecond
 	cfg.MaxRequeues = maxRequeues
-	cfg.testFactory = func(req PartitionRequest, h *hypergraph.Hypergraph, bal partition.Balance) func() eval.Heuristic {
-		inner := buildFactory(req, h, bal)
+	cfg.testWrap = func(inner func() eval.Heuristic) func() eval.Heuristic {
 		return func() eval.Heuristic {
 			return stallHeuristic{Heuristic: inner(), calls: &calls, wedgeN: wedgeN, release: release}
 		}
@@ -73,55 +70,69 @@ func watchdogServer(t *testing.T, wedgeAll bool, maxRequeues int) (*Server, *htt
 	return srv, hs
 }
 
-const wedgeReq = `{"benchmark":"ibm01","scale":0.05,"engine":"flat","starts":2,"seed":3}`
+// wedgeReqs are the requests the watchdog suite wedges, one per mode. The
+// hook wraps the multistart factory only, so under mode=portfolio the race
+// runs normally and the first commit start is the one that wedges.
+var wedgeReqs = []struct{ mode, body string }{
+	{"fixed", `{"benchmark":"ibm01","scale":0.05,"engine":"flat","starts":2,"seed":3}`},
+	{"portfolio", `{"benchmark":"ibm01","scale":0.05,"mode":"portfolio","starts":2,"seed":3}`},
+}
 
 func TestWatchdogRequeuesStuckJobAndCompletes(t *testing.T) {
-	_, hs := watchdogServer(t, false, 1)
-	resp, err := http.Post(hs.URL+"/v1/partition", "application/json", strings.NewReader(wedgeReq))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d, want 200 after a watchdog requeue", resp.StatusCode)
-	}
-	jobID := resp.Header.Get("X-Hgserved-Job")
-	if jobID == "" {
-		t.Fatal("response lacks X-Hgserved-Job")
-	}
-	jresp, err := http.Get(hs.URL + "/v1/jobs/" + jobID)
-	if err != nil {
-		t.Fatalf("GET job: %v", err)
-	}
-	defer jresp.Body.Close()
-	var st JobStatus
-	if err := decodeBody(jresp, &st); err != nil {
-		t.Fatalf("decode job status: %v", err)
-	}
-	if st.State != JobDone {
-		t.Fatalf("job state %q, want done", st.State)
-	}
-	if st.Requeues != 1 {
-		t.Fatalf("requeues = %d, want exactly 1 (one wedge, one healthy retry)", st.Requeues)
+	for _, tc := range wedgeReqs {
+		t.Run(tc.mode, func(t *testing.T) {
+			_, hs := watchdogServer(t, false, 1)
+			resp, err := http.Post(hs.URL+"/v1/partition", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("status %d, want 200 after a watchdog requeue", resp.StatusCode)
+			}
+			jobID := resp.Header.Get("X-Hgserved-Job")
+			if jobID == "" {
+				t.Fatal("response lacks X-Hgserved-Job")
+			}
+			jresp, err := http.Get(hs.URL + "/v1/jobs/" + jobID)
+			if err != nil {
+				t.Fatalf("GET job: %v", err)
+			}
+			defer jresp.Body.Close()
+			var st JobStatus
+			if err := decodeBody(jresp, &st); err != nil {
+				t.Fatalf("decode job status: %v", err)
+			}
+			if st.State != JobDone {
+				t.Fatalf("job state %q, want done", st.State)
+			}
+			if st.Requeues != 1 {
+				t.Fatalf("requeues = %d, want exactly 1 (one wedge, one healthy retry)", st.Requeues)
+			}
+		})
 	}
 }
 
 func TestWatchdogFailsJobAfterExhaustingRequeues(t *testing.T) {
-	_, hs := watchdogServer(t, true, 1)
-	resp, err := http.Post(hs.URL+"/v1/partition", "application/json", strings.NewReader(wedgeReq))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 500 {
-		t.Fatalf("status %d, want 500 once requeues are exhausted", resp.StatusCode)
-	}
-	var doc map[string]any
-	if err := decodeBody(resp, &doc); err != nil {
-		t.Fatalf("decode error body: %v", err)
-	}
-	msg, _ := doc["error"].(string)
-	if !strings.Contains(msg, "no progress") || !strings.Contains(msg, "requeue") {
-		t.Fatalf("error %q should explain the stall and the exhausted requeues", msg)
+	for _, tc := range wedgeReqs {
+		t.Run(tc.mode, func(t *testing.T) {
+			_, hs := watchdogServer(t, true, 1)
+			resp, err := http.Post(hs.URL+"/v1/partition", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != 500 {
+				t.Fatalf("status %d, want 500 once requeues are exhausted", resp.StatusCode)
+			}
+			var doc map[string]any
+			if err := decodeBody(resp, &doc); err != nil {
+				t.Fatalf("decode error body: %v", err)
+			}
+			msg, _ := doc["error"].(string)
+			if !strings.Contains(msg, "no progress") || !strings.Contains(msg, "requeue") {
+				t.Fatalf("error %q should explain the stall and the exhausted requeues", msg)
+			}
+		})
 	}
 }
