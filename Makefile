@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-strict fuzz bench bench-smoke bench-go parfm-diff serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke ci
+.PHONY: all build test race vet lint lint-strict fuzz bench bench-smoke bench-go parfm-diff serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke ci
 
 all: build
 
@@ -35,7 +35,8 @@ race:
 # Short fuzz pass over every netlist parser (regression corpora always run
 # as part of plain `make test`; this explores beyond them).
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHGR -fuzztime=10s ./internal/netlist
+	$(GO) test -run=^$$ -fuzz=FuzzParseHGR$$ -fuzztime=10s ./internal/netlist
+	$(GO) test -run=^$$ -fuzz=FuzzParseHGRMatchesReference -fuzztime=10s ./internal/netlist
 	$(GO) test -run=^$$ -fuzz=FuzzParsePaToH -fuzztime=10s ./internal/netlist
 	$(GO) test -run=^$$ -fuzz=FuzzParseNetD -fuzztime=10s ./internal/netlist
 	$(GO) test -run=^$$ -fuzz=FuzzParseBookshelf -fuzztime=10s ./internal/netlist
@@ -113,9 +114,16 @@ portfolio-smoke:
 	$(GO) test -race -count=3 -timeout 360s -run 'TestPortfolio|TestWatchdog' ./internal/service
 	$(GO) run ./cmd/hgbench -portfolio-gate
 
+# End-to-end benchmark smoke (bench/ is a module of its own, so the root
+# `go test ./...` never reaches it): every workload runs briefly on
+# tenth-size instances, untraced and traced, against a real hgserved build
+# and must pass its own checks; the bisection must match `hgpart`'s cut.
+bench-e2e-smoke:
+	$(GO) -C bench test ./...
+
 # What CI runs: build, static checks (vet + hglint with the stale-suppression
 # audit), the full test suite under the race detector, the parallel-FM
 # differential suite, the benchmark smoke gate, the daemon smoke, the
-# crash-consistency, cluster kill/restart and network chaos smokes, and the
-# portfolio determinism/quality smoke.
-ci: build lint-strict race parfm-diff bench-smoke serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke
+# crash-consistency, cluster kill/restart and network chaos smokes, the
+# portfolio determinism/quality smoke, and the end-to-end benchmark smoke.
+ci: build lint-strict race parfm-diff bench-smoke serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke

@@ -13,7 +13,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Hypergraph is an immutable weighted hypergraph in CSR form. Construct one
@@ -165,7 +165,8 @@ type Builder struct {
 	Name          string
 	vertexWeights []int64
 	edgeWeights   []int64
-	pins          [][]int32
+	pinOff        []int32 // pins of net e are pinData[pinOff[e]:pinOff[e+1]]; empty before the first AddEdge
+	pinData       []int32
 	KeepSingleton bool // retain nets with <2 pins (parsers may want exact counts)
 }
 
@@ -174,7 +175,8 @@ func NewBuilder(vertexHint, edgeHint int) *Builder {
 	return &Builder{
 		vertexWeights: make([]int64, 0, vertexHint),
 		edgeWeights:   make([]int64, 0, edgeHint),
-		pins:          make([][]int32, 0, edgeHint),
+		pinOff:        make([]int32, 0, edgeHint+1),
+		pinData:       make([]int32, 0, 4*edgeHint),
 	}
 }
 
@@ -203,12 +205,17 @@ func (b *Builder) NumVertices() int { return len(b.vertexWeights) }
 // AddEdge appends a net with the given weight and pins and returns its index.
 // The pin slice is copied.
 func (b *Builder) AddEdge(weight int64, pins ...int32) int32 {
-	cp := make([]int32, len(pins))
-	copy(cp, pins)
+	if len(b.pinOff) == 0 {
+		b.pinOff = append(b.pinOff, 0)
+	}
+	b.pinData = append(b.pinData, pins...)
+	b.pinOff = append(b.pinOff, int32(len(b.pinData)))
 	b.edgeWeights = append(b.edgeWeights, weight)
-	b.pins = append(b.pins, cp)
 	return int32(len(b.edgeWeights) - 1)
 }
+
+// netPins returns the pins of net e as added (possibly repeated, unsorted).
+func (b *Builder) netPins(e int) []int32 { return b.pinData[b.pinOff[e]:b.pinOff[e+1]] }
 
 // Build validates the accumulated data and produces the CSR hypergraph.
 func (b *Builder) Build() (*Hypergraph, error) {
@@ -218,51 +225,51 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			return nil, fmt.Errorf("hypergraph: vertex %d has negative weight %d", v, w)
 		}
 	}
-	for e, ps := range b.pins {
-		for _, p := range ps {
+	for e, w := range b.edgeWeights {
+		for _, p := range b.netPins(e) {
 			if p < 0 || int(p) >= nv {
 				return nil, fmt.Errorf("hypergraph: net %d references vertex %d outside [0,%d)", e, p, nv)
 			}
 		}
-		if b.edgeWeights[e] <= 0 {
-			return nil, fmt.Errorf("hypergraph: net %d has non-positive weight %d", e, b.edgeWeights[e])
+		if w <= 0 {
+			return nil, fmt.Errorf("hypergraph: net %d has non-positive weight %d", e, w)
 		}
 	}
 
-	// Deduplicate pins per net; drop degenerate nets unless KeepSingleton.
-	type net struct {
-		w    int64
-		pins []int32
-	}
-	nets := make([]net, 0, len(b.pins))
-	for e, ps := range b.pins {
-		uniq := dedupPins(ps)
-		if len(uniq) < 2 && !b.KeepSingleton {
+	// Copy each net into the pin array and deduplicate it there, in place;
+	// drop degenerate nets unless KeepSingleton.
+	h := &Hypergraph{Name: b.Name, vertexWeight: slices.Clone(b.vertexWeights)}
+	h.edgeWeight = make([]int64, 0, len(b.edgeWeights))
+	h.eptr = append(make([]int32, 0, len(b.edgeWeights)+1), 0)
+	h.eind = make([]int32, len(b.pinData))
+	n := 0
+	for e, w := range b.edgeWeights {
+		pins := b.netPins(e)
+		net := h.eind[n : n+len(pins)]
+		copy(net, pins)
+		if net = dedupPins(net); len(net) < 2 && !b.KeepSingleton {
 			continue
 		}
-		nets = append(nets, net{w: b.edgeWeights[e], pins: uniq})
+		n += len(net)
+		h.eptr = append(h.eptr, int32(n))
+		h.edgeWeight = append(h.edgeWeight, w)
 	}
+	h.eind = h.eind[:n]
+	h.finish()
+	return h, nil
+}
 
-	h := &Hypergraph{Name: b.Name}
-	h.vertexWeight = make([]int64, nv)
-	copy(h.vertexWeight, b.vertexWeights)
-	h.edgeWeight = make([]int64, len(nets))
-	h.eptr = make([]int32, len(nets)+1)
-	totalPins := 0
-	for _, n := range nets {
-		totalPins += len(n.pins)
-	}
-	h.eind = make([]int32, 0, totalPins)
-	for e, n := range nets {
-		h.edgeWeight[e] = n.w
-		h.eind = append(h.eind, n.pins...)
-		h.eptr[e+1] = int32(len(h.eind))
-		if len(n.pins) > h.maxEdgeSize {
-			h.maxEdgeSize = len(n.pins)
-		}
-	}
+// dedupPins sorts ps and removes repeats, in place.
+func dedupPins(ps []int32) []int32 {
+	slices.Sort(ps)
+	return slices.Compact(ps)
+}
 
-	// Build vertex -> edges via counting sort.
+// finish derives the rest of h from vertexWeight, edgeWeight, eptr and eind:
+// the vertex -> edges direction (a counting-sort transpose, so each vertex
+// lists its edges in ascending order) and the cached maxima and totals.
+func (h *Hypergraph) finish() {
+	nv := len(h.vertexWeight)
 	h.vptr = make([]int32, nv+1)
 	for _, v := range h.eind {
 		h.vptr[v+1]++
@@ -271,35 +278,18 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		h.vptr[v+1] += h.vptr[v]
 	}
 	h.vind = make([]int32, len(h.eind))
-	cursor := make([]int32, nv)
-	for e := range nets {
+	next := slices.Clone(h.vptr[:nv])
+	for e := range h.edgeWeight {
 		for _, v := range h.Pins(int32(e)) {
-			h.vind[h.vptr[v]+cursor[v]] = int32(e)
-			cursor[v]++
+			h.vind[next[v]] = int32(e)
+			next[v]++
 		}
+		h.maxEdgeSize = max(h.maxEdgeSize, h.EdgeSize(int32(e)))
 	}
-
 	for _, w := range h.vertexWeight {
 		h.totalVertexWeight += w
-		if w > h.maxVertexWeight {
-			h.maxVertexWeight = w
-		}
+		h.maxVertexWeight = max(h.maxVertexWeight, w)
 	}
-	return h, nil
-}
-
-// dedupPins returns the distinct values of ps, sorted ascending.
-func dedupPins(ps []int32) []int32 {
-	uniq := make([]int32, len(ps))
-	copy(uniq, ps)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	out := uniq[:0]
-	for i, p := range uniq {
-		if i == 0 || p != uniq[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // MustBuild is Build that panics on error; for tests and generators whose

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -126,14 +127,12 @@ func (h *Hypergraph) Contract(clusterOf []int32, numClusters int) (*Hypergraph, 
 		coarse.vertexWeight[c] += h.vertexWeight[v]
 	}
 
-	type coarseNet struct {
-		pins   []int32
-		weight int64
-		rep    int32
-	}
-	// Dedup identical projected nets by hashing their sorted pin lists.
-	byHash := make(map[uint64][]int, h.NumEdges())
-	nets := make([]coarseNet, 0, h.NumEdges())
+	// Coarse nets are appended to the CSR arrays in first-appearance order;
+	// identical projected nets are found by hashing their sorted pin lists.
+	coarse.eptr = append(make([]int32, 0, h.NumEdges()+1), 0)
+	eind := make([]int32, 0, h.NumPins())
+	var repOf []int32
+	byHash := make(map[uint64][]int32, h.NumEdges())
 	scratch := make([]int32, 0, 64)
 
 	for e := 0; e < h.NumEdges(); e++ {
@@ -147,60 +146,24 @@ func (h *Hypergraph) Contract(clusterOf []int32, numClusters int) (*Hypergraph, 
 		}
 		hsh := hashPins(uniq)
 		merged := false
-		for _, idx := range byHash[hsh] {
-			if pinsEqual(nets[idx].pins, uniq) {
-				nets[idx].weight += h.edgeWeight[e]
+		for _, ce := range byHash[hsh] {
+			if slices.Equal(eind[coarse.eptr[ce]:coarse.eptr[ce+1]], uniq) {
+				coarse.edgeWeight[ce] += h.edgeWeight[e]
 				merged = true
 				break
 			}
 		}
 		if !merged {
-			cp := make([]int32, len(uniq))
-			copy(cp, uniq)
-			nets = append(nets, coarseNet{pins: cp, weight: h.edgeWeight[e], rep: int32(e)})
-			byHash[hsh] = append(byHash[hsh], len(nets)-1)
+			byHash[hsh] = append(byHash[hsh], int32(len(coarse.edgeWeight)))
+			eind = append(eind, uniq...)
+			coarse.eptr = append(coarse.eptr, int32(len(eind)))
+			coarse.edgeWeight = append(coarse.edgeWeight, h.edgeWeight[e])
+			repOf = append(repOf, int32(e))
 		}
 	}
-
-	// Assemble CSR for the coarse graph.
-	coarse.edgeWeight = make([]int64, len(nets))
-	coarse.eptr = make([]int32, len(nets)+1)
-	total := 0
-	for _, n := range nets {
-		total += len(n.pins)
-	}
-	coarse.eind = make([]int32, 0, total)
-	repOf := make([]int32, len(nets))
-	for e, n := range nets {
-		coarse.edgeWeight[e] = n.weight
-		coarse.eind = append(coarse.eind, n.pins...)
-		coarse.eptr[e+1] = int32(len(coarse.eind))
-		repOf[e] = n.rep
-		if len(n.pins) > coarse.maxEdgeSize {
-			coarse.maxEdgeSize = len(n.pins)
-		}
-	}
-	coarse.vptr = make([]int32, numClusters+1)
-	for _, v := range coarse.eind {
-		coarse.vptr[v+1]++
-	}
-	for v := 0; v < numClusters; v++ {
-		coarse.vptr[v+1] += coarse.vptr[v]
-	}
-	coarse.vind = make([]int32, len(coarse.eind))
-	cursor := make([]int32, numClusters)
-	for e := range nets {
-		for _, v := range coarse.Pins(int32(e)) {
-			coarse.vind[coarse.vptr[v]+cursor[v]] = int32(e)
-			cursor[v]++
-		}
-	}
-	for _, w := range coarse.vertexWeight {
-		coarse.totalVertexWeight += w
-		if w > coarse.maxVertexWeight {
-			coarse.maxVertexWeight = w
-		}
-	}
+	// Trim the pin array, sized for the fine graph, to what it holds.
+	coarse.eind = slices.Clone(eind)
+	coarse.finish()
 	return coarse, repOf
 }
 
@@ -214,18 +177,6 @@ func hashPins(pins []int32) uint64 {
 		}
 	}
 	return hsh
-}
-
-func pinsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sortedPinsCheck reports whether each net's pins are sorted ascending; the

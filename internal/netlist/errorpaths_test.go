@@ -25,6 +25,7 @@ func TestHGRErrorPaths(t *testing.T) {
 		{"edge count over sanity cap", "999999999 2\n1 2\n", "sanity cap"},
 		{"negative vertex count", "1 -2\n1\n", "negative"},
 		{"bad format field", "1 2 z\n1 2\n", "format field"},
+		{"unknown format code", "1 3 12\n1 2\n5\n6\n7\n", "want 0, 1, 10 or 11"},
 		{"pin not a number", "1 2\n1 q\n", "pin"},
 		{"pin zero", "1 2\n0 1\n", "outside [1,2]"},
 		{"pin out of range", "1 2\n1 999\n", "outside [1,2]"},

@@ -33,6 +33,7 @@ func FuzzParseHGR(f *testing.F) {
 	f.Add("999999999 2\n1 2\n")       // over the sanity cap
 	f.Add("1 2\n1 999\n")             // pin out of range
 	f.Add("2 3\n1 2\n")               // truncated
+	f.Add("1 3 12\n1 2\n5\n6\n7\n")   // unknown format code
 	f.Fuzz(func(t *testing.T, in string) {
 		checkedParse(t, "hgr", func() (interface{ Validate() error }, error) {
 			return ParseHGR(strings.NewReader(in), "fuzz")

@@ -17,6 +17,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"hgpart/internal/hypergraph"
 )
@@ -29,7 +30,7 @@ import (
 //	if fmt has vertex weights, numVertices weight lines follow
 //
 // fmt is 0 (default, unweighted), 1 (edge weights), 10 (vertex weights) or
-// 11 (both).
+// 11 (both); any other value is rejected.
 //
 // All failures are *ParseError values with Format "hgr".
 func ParseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
@@ -39,15 +40,18 @@ func ParseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 
 func parseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(nil, 64*1024*1024)
 
-	nextLine := func() ([]string, error) {
+	// nextLine returns the tokens of the next non-blank, non-comment line.
+	// They alias the scanner's buffer and are valid until the next call.
+	var tokens [][]byte
+	nextLine := func() ([][]byte, error) {
 		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "%") {
+			tokens = splitFields(tokens[:0], sc.Bytes())
+			if len(tokens) == 0 || tokens[0][0] == '%' {
 				continue
 			}
-			return strings.Fields(line), nil
+			return tokens, nil
 		}
 		if err := sc.Err(); err != nil {
 			return nil, err
@@ -62,11 +66,11 @@ func parseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 	if len(header) < 2 || len(header) > 3 {
 		return nil, fmt.Errorf("netlist: hgr header needs 2-3 fields, got %d", len(header))
 	}
-	numEdges, err := strconv.Atoi(header[0])
+	numEdges, err := atoi(header[0])
 	if err != nil {
 		return nil, fmt.Errorf("netlist: hgr edge count: %w", err)
 	}
-	numVertices, err := strconv.Atoi(header[1])
+	numVertices, err := atoi(header[1])
 	if err != nil {
 		return nil, fmt.Errorf("netlist: hgr vertex count: %w", err)
 	}
@@ -78,9 +82,12 @@ func parseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 	}
 	format := 0
 	if len(header) == 3 {
-		format, err = strconv.Atoi(header[2])
+		format, err = atoi(header[2])
 		if err != nil {
 			return nil, fmt.Errorf("netlist: hgr format field: %w", err)
+		}
+		if format != 0 && format != 1 && format != 10 && format != 11 {
+			return nil, fmt.Errorf("netlist: hgr format field %d: want 0, 1, 10 or 11", format)
 		}
 	}
 	edgeWeighted := format == 1 || format == 11
@@ -90,23 +97,23 @@ func parseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 	b.Name = name
 	b.AddVertices(numVertices, 1)
 
+	var pins []int32
 	for e := 0; e < numEdges; e++ {
 		fields, err := nextLine()
 		if err != nil {
 			return nil, fmt.Errorf("netlist: hgr edge %d: %w", e+1, err)
 		}
 		w := int64(1)
-		idx := 0
 		if edgeWeighted {
-			w, err = strconv.ParseInt(fields[0], 10, 64)
+			w, err = parseInt64(fields[0])
 			if err != nil {
 				return nil, fmt.Errorf("netlist: hgr edge %d weight: %w", e+1, err)
 			}
-			idx = 1
+			fields = fields[1:]
 		}
-		pins := make([]int32, 0, len(fields)-idx)
-		for _, f := range fields[idx:] {
-			v, err := strconv.Atoi(f)
+		pins = pins[:0]
+		for _, f := range fields {
+			v, err := atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("netlist: hgr edge %d pin %q: %w", e+1, f, err)
 			}
@@ -123,35 +130,128 @@ func parseHGR(r io.Reader, name string) (*hypergraph.Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("netlist: hgr vertex weight %d: %w", v+1, err)
 			}
-			w, err := strconv.ParseInt(fields[0], 10, 64)
+			w, err := parseInt64(fields[0])
 			if err != nil {
 				return nil, fmt.Errorf("netlist: hgr vertex weight %d: %w", v+1, err)
 			}
 			b.SetVertexWeight(int32(v), w)
 		}
 	}
-	h, err := b.Build()
-	if err != nil {
-		return nil, err
+	return b.Build()
+}
+
+// splitFields appends the whitespace-separated fields of line to dst,
+// splitting exactly as strings.Fields does. ASCII lines are split in place;
+// a line with any other byte goes through strings.Fields itself, so Unicode
+// spaces (U+0085, U+00A0, ...) separate fields as they always have.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	n, start := len(dst), -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			dst = dst[:n]
+			for _, f := range strings.Fields(string(line)) {
+				dst = append(dst, []byte(f))
+			}
+			return dst
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
 	}
-	return h, nil
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// atoi is strconv.Atoi(string(tok)) without the conversion for the common
+// token: one to nine plain digits, which cannot overflow. Anything else
+// (signs, longer tokens, junk) goes to strconv, so values and error
+// messages are strconv's own.
+func atoi(tok []byte) (int, error) {
+	if v, ok := plainDigits(tok); ok {
+		return v, nil
+	}
+	return strconv.Atoi(string(tok))
+}
+
+// parseInt64 is strconv.ParseInt(string(tok), 10, 64) with atoi's fast path.
+func parseInt64(tok []byte) (int64, error) {
+	if v, ok := plainDigits(tok); ok {
+		return int64(v), nil
+	}
+	return strconv.ParseInt(string(tok), 10, 64)
+}
+
+// plainDigits parses tok if it is one to nine ASCII digits.
+func plainDigits(tok []byte) (int, bool) {
+	if len(tok) == 0 || len(tok) > 9 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
 }
 
 // WriteHGR writes h in hMETIS format with both edge and vertex weights
-// (fmt 11).
+// (fmt 11): a "%" comment line naming the instance, then the canonical form
+// WriteCanonicalHGR writes.
 func WriteHGR(w io.Writer, h *hypergraph.Hypergraph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%% %s: %d nets, %d cells, %d pins\n", h.Name, h.NumEdges(), h.NumVertices(), h.NumPins())
-	fmt.Fprintf(bw, "%d %d 11\n", h.NumEdges(), h.NumVertices())
-	for e := 0; e < h.NumEdges(); e++ {
-		fmt.Fprintf(bw, "%d", h.EdgeWeight(int32(e)))
-		for _, v := range h.Pins(int32(e)) {
-			fmt.Fprintf(bw, " %d", v+1)
+	if _, err := fmt.Fprintf(w, "%% %s: %d nets, %d cells, %d pins\n", h.Name, h.NumEdges(), h.NumVertices(), h.NumPins()); err != nil {
+		return err
+	}
+	return WriteCanonicalHGR(w, h)
+}
+
+// WriteCanonicalHGR writes the canonical hMETIS form of h: the fmt-11
+// header, one "weight pin..." line per net with 1-indexed pins, then one
+// weight line per vertex. It has no name and no comment, so it depends on
+// the structure and weights alone; its SHA-256 is the instance identity the
+// hgserved result cache and job journals are keyed by, and any change to
+// these bytes orphans every stored entry.
+func WriteCanonicalHGR(w io.Writer, h *hypergraph.Hypergraph) error {
+	const chunk = 32 << 10 // flush threshold; a number and its separator fit in the slack
+	buf := make([]byte, 0, chunk+32)
+	var err error
+	num := func(v int64) {
+		if len(buf) >= chunk {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
 		}
-		fmt.Fprintln(bw)
+		buf = strconv.AppendInt(buf, v, 10)
+	}
+	num(int64(h.NumEdges()))
+	buf = append(buf, ' ')
+	num(int64(h.NumVertices()))
+	buf = append(buf, " 11\n"...)
+	for e := 0; e < h.NumEdges(); e++ {
+		num(h.EdgeWeight(int32(e)))
+		for _, v := range h.Pins(int32(e)) {
+			buf = append(buf, ' ')
+			num(int64(v) + 1)
+		}
+		buf = append(buf, '\n')
 	}
 	for v := 0; v < h.NumVertices(); v++ {
-		fmt.Fprintf(bw, "%d\n", h.VertexWeight(int32(v)))
+		num(h.VertexWeight(int32(v)))
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -240,25 +239,14 @@ func benchmarkSpec(name string) (gen.Spec, string, error) {
 }
 
 // instanceHash content-addresses a hypergraph: the SHA-256 of its canonical
-// hMETIS-style serialization (structure and weights only — no name, no
-// comments). Two inline uploads that differ only in whitespace or comments —
-// or a benchmark request and an upload of the identical instance — coalesce
-// to the same hash and therefore the same cache entries.
+// hMETIS serialization, netlist.WriteCanonicalHGR (structure and weights
+// only — no name, no comments). Two inline uploads that differ only in
+// whitespace or comments — or a benchmark request and an upload of the
+// identical instance — coalesce to the same hash and therefore the same
+// cache entries.
 func instanceHash(h *hypergraph.Hypergraph) string {
 	hash := sha256.New()
-	bw := bufio.NewWriter(hash)
-	fmt.Fprintf(bw, "%d %d 11\n", h.NumEdges(), h.NumVertices())
-	for e := 0; e < h.NumEdges(); e++ {
-		fmt.Fprintf(bw, "%d", h.EdgeWeight(int32(e)))
-		for _, v := range h.Pins(int32(e)) {
-			fmt.Fprintf(bw, " %d", v+1)
-		}
-		fmt.Fprintln(bw)
-	}
-	for v := 0; v < h.NumVertices(); v++ {
-		fmt.Fprintf(bw, "%d\n", h.VertexWeight(int32(v)))
-	}
-	bw.Flush()
+	netlist.WriteCanonicalHGR(hash, h) // a hash.Hash never returns a write error
 	return hex.EncodeToString(hash.Sum(nil))
 }
 
