@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test race vet lint lint-strict fuzz bench bench-smoke bench-go parfm-diff serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke ci
+.PHONY: all build test race vet fmt-check lint lint-strict fuzz bench bench-smoke bench-go parfm-diff serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke ci
 
 all: build
 
@@ -12,6 +13,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any tracked Go file outside testdata/ is not gofmt-clean
+# (testdata holds analyzer fixtures kept in their authored shape).
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Determinism, reproducibility, and concurrency-safety analyzers
 # (internal/lint via cmd/hglint): banned randomness/wall-clock in algorithm
@@ -102,11 +109,11 @@ netchaos-smoke:
 
 # Portfolio smoke (DESIGN.md §15): under the race detector, race the arm
 # portfolio on two gen profiles with byte-identical results across repeated
-# runs and a cold/warm/reopened outcome store (internal/portfolio), the
-# mode=portfolio service path with its advisory-store restart proof
-# (internal/service, repeated three times together with the watchdog suite
-# so a timing-sensitive job disposition that flakes shows up here), and the
-# hgchaos portfolio scenario (restart + 1/2/3-worker cluster byte-identity);
+# runs (internal/portfolio), the mode=portfolio service path with its
+# restart and no-checkpoint proofs (internal/service, repeated three times
+# together with the watchdog suite so a timing-sensitive job disposition
+# that flakes shows up here), and the hgchaos portfolio scenario (restart,
+# no-checkpoint and 1/2/3-worker cluster byte-identity);
 # then run the hgbench quality gate — portfolio never worse than the fixed
 # default on half the suite, racing overhead bounded.
 portfolio-smoke:
@@ -121,9 +128,9 @@ portfolio-smoke:
 bench-e2e-smoke:
 	$(GO) -C bench test ./...
 
-# What CI runs: build, static checks (vet + hglint with the stale-suppression
+# What CI runs: build, gofmt, static checks (vet + hglint with the stale-suppression
 # audit), the full test suite under the race detector, the parallel-FM
 # differential suite, the benchmark smoke gate, the daemon smoke, the
 # crash-consistency, cluster kill/restart and network chaos smokes, the
 # portfolio determinism/quality smoke, and the end-to-end benchmark smoke.
-ci: build lint-strict race parfm-diff bench-smoke serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke
+ci: build fmt-check lint-strict race parfm-diff bench-smoke serve-smoke chaos-smoke cluster-smoke netchaos-smoke portfolio-smoke bench-e2e-smoke

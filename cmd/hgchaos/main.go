@@ -24,8 +24,8 @@
 // byte-identical to the uninterrupted single-node baseline.
 //
 // The portfolio scenario proves mode=portfolio determinism: identical
-// report bytes across a repeat, a restart with a warm (advisory) outcome
-// store, a storeless daemon, and 1/2/3-worker cluster topologies.
+// report bytes across a repeat, a restart on the same checkpoint dir, a
+// daemon with no checkpoint dir, and 1/2/3-worker cluster topologies.
 //
 // Network chaos scenarios (net-partition, slow-peer, corrupt-response,
 // flapping-worker) arm hgserved's -net-chaos transport instead of killing

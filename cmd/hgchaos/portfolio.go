@@ -1,12 +1,10 @@
 package main
 
-// Portfolio chaos scenario: the adaptive portfolio scheduler's outcome store
-// is strictly advisory, so mode=portfolio reports must be byte-identical
-// across a repeat (cache hit), a daemon restart sharing the checkpoint dir
-// (outcome store warm, result cache cold — the store is predicting, but a
-// prediction must not move a byte), a storeless daemon (no checkpoint dir at
-// all), and 1/2/3-worker cluster topologies where coordinator and workers
-// share one store through O_APPEND record framing.
+// Portfolio chaos scenario: a mode=portfolio report is a pure function of
+// the request, so it must be byte-identical across a repeat (cache hit), a
+// daemon restart on the same checkpoint dir (result cache cold, so the whole
+// race+commit recomputes), a daemon with no checkpoint dir at all, and
+// 1/2/3-worker cluster topologies.
 
 import (
 	"bytes"
@@ -50,66 +48,56 @@ func runPortfolioScenario(ctx context.Context, opt options) int {
 		return 1
 	}
 	d1.stop()
-	// The warm-store phase below is only meaningful if the race actually
-	// persisted outcomes; an empty store would make it a silent no-op.
-	if fi, err := os.Stat(filepath.Join(cpDir, "portfolio.store")); err != nil || fi.Size() == 0 {
-		fmt.Fprintf(opt.out, "hgchaos: %s: race left no outcome store in %s (err %v)\n", name, cpDir, err)
-		return 1
-	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: baseline report: %d bytes, outcome store persisted\n",
+	fmt.Fprintf(opt.out, "hgchaos: %s: baseline report: %d bytes, repeat was a byte-identical cache hit\n",
 		name, len(baseline))
 
-	// Phase 2: fresh daemon on the same checkpoint dir. The outcome store is
-	// warm (it will predict the winner) but the result cache is cold, so the
-	// whole race+commit recomputes — under advisement — and must not move a
-	// byte. A store that influenced selection would poison every cache keyed
-	// on these bytes.
-	d2, err := startDaemon(ctx, opt, name+"-warm", []string{"-checkpoint-dir", cpDir})
+	// Phase 2: fresh daemon on the same checkpoint dir. The result cache is
+	// cold, so the whole race+commit recomputes and must not move a byte:
+	// a restart that changed selection would poison every cache keyed on
+	// these bytes.
+	d2, err := startDaemon(ctx, opt, name+"-restart", []string{"-checkpoint-dir", cpDir})
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: warm-store daemon: %v\n", name, err)
+		fmt.Fprintf(opt.out, "hgchaos: %s: restarted daemon: %v\n", name, err)
 		return 2
 	}
 	body, disp, err := submitSyncDisposition(ctx, d2.addr, preq, opt.seed)
 	d2.stop()
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: warm-store request: %v\n", name, err)
+		fmt.Fprintf(opt.out, "hgchaos: %s: restarted request: %v\n", name, err)
 		return 1
 	}
 	if disp != "miss" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: warm-store disposition %q, want miss (cold cache)\n", name, disp)
+		fmt.Fprintf(opt.out, "hgchaos: %s: restarted disposition %q, want miss (cold cache)\n", name, disp)
 		return 1
 	}
 	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: warm-store report differs from baseline (%d vs %d bytes)\n",
+		fmt.Fprintf(opt.out, "hgchaos: %s: restarted report differs from baseline (%d vs %d bytes)\n",
 			name, len(body), len(baseline))
 		return 1
 	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: warm store recomputed byte-identical bytes\n", name)
+	fmt.Fprintf(opt.out, "hgchaos: %s: restart recomputed byte-identical bytes\n", name)
 
-	// Phase 3: storeless daemon — no checkpoint dir, so no store exists at
-	// all. Identical bytes close the loop: cold store == warm store == none.
-	d3, err := startDaemon(ctx, opt, name+"-storeless", nil)
+	// Phase 3: a daemon with no checkpoint dir at all.
+	d3, err := startDaemon(ctx, opt, name+"-nocheckpoint", nil)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: storeless daemon: %v\n", name, err)
+		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint daemon: %v\n", name, err)
 		return 2
 	}
 	body, _, err = submitSync(ctx, d3.addr, preq, opt.seed)
 	d3.stop()
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: storeless request: %v\n", name, err)
+		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint request: %v\n", name, err)
 		return 1
 	}
 	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: storeless report differs from baseline (%d vs %d bytes)\n",
+		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint report differs from baseline (%d vs %d bytes)\n",
 			name, len(body), len(baseline))
 		return 1
 	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: storeless daemon byte-identical\n", name)
+	fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint daemon byte-identical\n", name)
 
-	// Phase 4: 1-, 2- and 3-worker clusters. Coordinator and workers share
-	// one outcome store on the cluster checkpoint dir (O_APPEND record
-	// framing); wherever the job lands, the bytes must match the single-node
-	// baseline.
+	// Phase 4: 1-, 2- and 3-worker clusters. Wherever the job lands, the
+	// bytes must match the single-node baseline.
 	for n := 1; n <= 3; n++ {
 		clusterDir := filepath.Join(opt.workdir, fmt.Sprintf("%s-cluster-%d", name, n), "checkpoints")
 		if err := os.MkdirAll(clusterDir, 0o755); err != nil {

@@ -3,8 +3,8 @@ package main
 // TestPortfolioChaosSmoke is part of the `make portfolio-smoke` CI gate:
 // build hgserved with the race detector and run the portfolio scenario —
 // mode=portfolio reports must be byte-identical across a cache-hit repeat,
-// a daemon restart with a warm advisory outcome store, a storeless daemon,
-// and 1/2/3-worker cluster topologies sharing one store.
+// a daemon restart on the same checkpoint dir, a daemon with no checkpoint
+// dir, and 1/2/3-worker cluster topologies.
 
 import (
 	"bytes"
@@ -43,9 +43,9 @@ func TestPortfolioChaosSmoke(t *testing.T) {
 		t.Fatalf("hgchaos exit code %d, want 0", rc)
 	}
 	for _, want := range []string{
-		"outcome store persisted",
-		"warm store recomputed byte-identical bytes",
-		"storeless daemon byte-identical",
+		"repeat was a byte-identical cache hit",
+		"restart recomputed byte-identical bytes",
+		"no-checkpoint daemon byte-identical",
 		"3 worker(s) byte-identical",
 		"portfolio  PASS",
 	} {

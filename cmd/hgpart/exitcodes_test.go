@@ -32,6 +32,9 @@ func TestExitCodeUsage(t *testing.T) {
 		{},                                      // no input at all
 		{"-ibm", "1", "-engine", "quantum"},     // unknown engine
 		{"-in", "/nonexistent/never.hgr", "-q"}, // unreadable input
+		{"-ibm", "1", "-scale", "0.02", "-starts", "-1"},                   // negative starts (plain path)
+		{"-ibm", "1", "-scale", "0.02", "-starts", "0", "-portfolio"},      // zero starts (portfolio)
+		{"-ibm", "1", "-scale", "0.02", "-starts", "-1", "-timeout", "1s"}, // negative starts (robust harness)
 	}
 	for _, args := range cases {
 		if code, out := runForExit(t, args...); code != 2 {

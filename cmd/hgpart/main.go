@@ -59,7 +59,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 
 		usePortfolio = flag.Bool("portfolio", false, "race the curated engine portfolio for the first budget slice, then commit the rest to the winner (bisection only; ignores -engine)")
-		portfolioDB  = flag.String("portfolio-store", "", "with -portfolio: persist per-bucket arm outcomes to this file (advisory; never changes results)")
 		workBudget   = flag.Int64("work-budget", 0, "deterministic work-unit budget (0 = unbounded); with -portfolio the first quarter funds the race")
 
 		traceTo = flag.String("trace", "", "write per-pass FM trace CSV to this file (flat/clip engines)")
@@ -83,6 +82,9 @@ func main() {
 	if *tol <= 0 || *tol >= 1 {
 		fatalUsage(fmt.Errorf("-tol %g out of range (0,1)", *tol))
 	}
+	if *starts < 1 {
+		fatalUsage(fmt.Errorf("-starts %d must be >= 1", *starts))
+	}
 	if *resume && *checkpoint == "" {
 		fatalUsage(fmt.Errorf("-resume requires -checkpoint <file>"))
 	}
@@ -101,9 +103,6 @@ func main() {
 	}
 	if *usePortfolio && *k > 2 {
 		fatalUsage(fmt.Errorf("-portfolio supports bisection only (-k 2)"))
-	}
-	if *portfolioDB != "" && !*usePortfolio {
-		fatalUsage(fmt.Errorf("-portfolio-store requires -portfolio"))
 	}
 
 	h, err := loadInstance(*inPath, *arePath, *ibm, *scale, *seed)
@@ -124,7 +123,7 @@ func main() {
 	bal := hgpart.NewBalance(total, *tol)
 
 	if *usePortfolio {
-		runPortfolio(h, bal, *starts, *seed, *workBudget, *portfolioDB, *outPath)
+		runPortfolio(h, bal, *starts, *seed, *workBudget, *outPath)
 		return
 	}
 
@@ -281,32 +280,17 @@ func runRobust(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, 
 // runPortfolio executes the -portfolio schedule: feature extraction, the
 // arm race, and the committed multistart on the winner. Everything printed
 // to stdout except the wall-clock time= line is a pure function of
-// (instance, seed, starts, work budget); advisory store output (the
-// prediction) goes to stderr so runs with cold and warm stores produce
-// identical result output.
+// (instance, seed, starts, work budget).
 func runPortfolio(h *hgpart.Hypergraph, bal hgpart.Balance, starts int, seed uint64,
-	workBudget int64, storePath, outPath string) {
-	var store *hgpart.PortfolioStore
-	if storePath != "" {
-		st, err := hgpart.OpenPortfolioStore(storePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer st.Close()
-		store = st
-	}
-
+	workBudget int64, outPath string) {
 	t0 := time.Now()
-	res, err := hgpart.RunPortfolio(context.Background(), h, bal, seed, starts, workBudget, store)
+	res, err := hgpart.RunPortfolio(context.Background(), h, bal, seed, starts, workBudget)
 	if err != nil {
 		// With a background context the only reachable failure is an
 		// infeasible balance: no arm produced a legal partition.
 		fatalInfeasible(err)
 	}
 	race := res.Race
-	if race.Predicted != "" {
-		fmt.Fprintf(os.Stderr, "hgpart: store predicted %s (hit=%v)\n", race.Predicted, race.StoreHit)
-	}
 	fmt.Printf("portfolio starts=%d bucket=%s arms=%d\n", starts, race.Bucket.Key(), len(race.Arms))
 	for _, tr := range race.Traces {
 		marker := " "
@@ -325,11 +309,6 @@ func runPortfolio(h *hgpart.Hypergraph, bal hgpart.Balance, starts int, seed uin
 	printSides(res.Final.P, h.TotalVertexWeight())
 	fmt.Printf("time=%.3fs work=%d (normalized %.3fs)\n",
 		time.Since(t0).Seconds(), res.TotalWork, float64(res.TotalWork)/2e6)
-	if store != nil {
-		if serr := store.Err(); serr != nil {
-			fmt.Fprintf(os.Stderr, "hgpart: portfolio store degraded (outcomes may not persist): %v\n", serr)
-		}
-	}
 	writeSides(outPath, h.NumVertices(), res.Final.P)
 }
 

@@ -336,8 +336,7 @@ func MCNCNames() []string { return gen.MCNCNames() }
 // Portfolio scheduling (DESIGN.md §15): cheap instance features bucket each
 // request, a curated portfolio of engine configurations races for the first
 // slice of the budget, and the remaining budget commits to the Pareto-best
-// arm. An optional persistent outcome store warm-starts predictions across
-// requests; it is strictly advisory and never changes results.
+// arm. The result is a pure function of (instance, seed, starts, budget).
 type (
 	// PortfolioFeatures is the deterministic instance-feature vector.
 	PortfolioFeatures = portfolio.Features
@@ -351,8 +350,6 @@ type (
 	PortfolioRaceResult = portfolio.RaceResult
 	// PortfolioResult is the full race+commit outcome.
 	PortfolioResult = portfolio.Result
-	// PortfolioStore is the persistent per-bucket outcome store.
-	PortfolioStore = portfolio.Store
 )
 
 // ExtractPortfolioFeatures computes the deterministic feature vector in one
@@ -365,15 +362,9 @@ func PortfolioBucketOf(f PortfolioFeatures) PortfolioBucket { return portfolio.B
 // DefaultPortfolioArms returns the curated racing portfolio.
 func DefaultPortfolioArms() []PortfolioArm { return portfolio.DefaultArms() }
 
-// OpenPortfolioStore opens (creating or repairing as needed) the CRC-framed
-// outcome store at path.
-func OpenPortfolioStore(path string) (*PortfolioStore, error) { return portfolio.OpenStore(path) }
-
 // RunPortfolio executes the full portfolio schedule — race then commit —
-// and returns the byte-deterministic result. store may be nil; warm or
-// cold, it never changes the result.
+// and returns the byte-deterministic result.
 func RunPortfolio(ctx context.Context, h *Hypergraph, bal Balance, seed uint64,
-	starts int, workBudget int64, store *PortfolioStore) (*PortfolioResult, error) {
-	s := &portfolio.Scheduler{Store: store}
-	return s.Run(ctx, h, bal, seed, starts, workBudget)
+	starts int, workBudget int64) (*PortfolioResult, error) {
+	return (&portfolio.Scheduler{}).Run(ctx, h, bal, seed, starts, workBudget)
 }

@@ -51,9 +51,9 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
-func (osFS) Open(name string) (File, error)        { return os.Open(name) }
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error              { return os.Remove(name) }
+func (osFS) Open(name string) (File, error)       { return os.Open(name) }
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
 
 // OS returns the real filesystem.
 func OS() FS { return osFS{} }

@@ -128,7 +128,7 @@ type oracleTracer struct {
 	p     *partition.P
 }
 
-func (o *oracleTracer) PassStart(int, int64)         {}
+func (o *oracleTracer) PassStart(int, int64)              {}
 func (o *oracleTracer) MoveMade(int, int64, int32, int64) {}
 func (o *oracleTracer) PassEnd(pass int, bestCut, moves int64, rolledBack int) {
 	if got, want := o.p.Cut(), recountCut(o.h, o.p); got != want {

@@ -181,21 +181,16 @@ type ConfigurationPoint struct {
 	Cuts []float64
 }
 
-// EvaluateConfigurations reproduces the Tables 4/5 protocol: for each entry
-// of startCounts, run the best-of-k configuration reps times and average
-// the best cut and total CPU time.
-func EvaluateConfigurations(h Heuristic, startCounts []int, reps int, r *rng.RNG) []ConfigurationPoint {
-	points, _ := EvaluateConfigurationsCtx(context.Background(), h, startCounts, reps, r)
-	return points
-}
-
-// EvaluateConfigurationsCtx is EvaluateConfigurations under a context: the
-// sweep stops between repetitions when ctx is cancelled, returning the fully
-// evaluated configurations so far plus an incomplete flag. Partially
-// evaluated configurations are dropped — an average over fewer repetitions
-// than requested is not comparable to its neighbors. The per-repetition
-// generator splits happen in the same order as the uncancelled sweep, so a
-// run that is not interrupted is byte-identical to EvaluateConfigurations.
+// EvaluateConfigurationsCtx reproduces the Tables 4/5 protocol: for each
+// entry of startCounts, run the best-of-k configuration reps times and
+// average the best cut and total CPU time. The sweep stops between
+// repetitions when ctx is cancelled, returning the fully evaluated
+// configurations so far plus an incomplete flag. Partially evaluated
+// configurations are dropped — an average over fewer repetitions than
+// requested is not comparable to its neighbors. The per-repetition
+// generator splits happen in the same order whether or not ctx is
+// cancelled, so every configuration a cancelled sweep returns is
+// byte-identical to the same configuration of a full sweep.
 func EvaluateConfigurationsCtx(ctx context.Context, h Heuristic, startCounts []int, reps int, r *rng.RNG) (points []ConfigurationPoint, incomplete bool) {
 	if ctx == nil {
 		ctx = context.Background()

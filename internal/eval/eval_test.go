@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -134,7 +135,10 @@ func TestEvaluateConfigurationsShape(t *testing.T) {
 	h := instance(t)
 	bal := partition.NewBalance(h.TotalVertexWeight(), 0.10)
 	m := NewML("ml", h, multilevel.Config{Refine: core.StrongConfig(false)}, bal, 0)
-	pts := EvaluateConfigurations(m, []int{1, 4}, 3, rng.New(12))
+	pts, incomplete := EvaluateConfigurationsCtx(context.Background(), m, []int{1, 4}, 3, rng.New(12))
+	if incomplete {
+		t.Fatal("uncancelled sweep reported incomplete")
+	}
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}

@@ -8,6 +8,7 @@ package eval_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -330,5 +331,91 @@ func TestMultistartRobustMatchesMultistart(t *testing.T) {
 	s, _, info2 := eval.MultistartRobust(ctx, f(), 7, rng.New(23), nil)
 	if !info2.Incomplete || len(s) != 0 {
 		t.Fatalf("pre-cancelled robust multistart should do nothing: %+v", info2)
+	}
+}
+
+// Parallel multistart: start i draws from the i-th generator split of the
+// seed whatever the worker count, so per-start results never depend on
+// scheduling.
+
+// startCuts runs n starts at the given worker count and returns each start's
+// cut in start order.
+func startCuts(t *testing.T, factory func() eval.Heuristic, bal partition.Balance, n int, seed uint64, workers int) []int64 {
+	t.Helper()
+	rep := eval.RunMultistart(context.Background(), factory, n, seed, eval.RunOptions{Workers: workers})
+	if rep.Completed != n || rep.BestIdx < 0 || !rep.Best.P.Legal(bal) {
+		t.Fatalf("workers=%d: %s", workers, rep.Summary())
+	}
+	cuts := make([]int64, n)
+	for i, sr := range rep.Results {
+		cuts[i] = sr.Outcome.Cut
+	}
+	return cuts
+}
+
+// sameCuts fails unless got matches ref start for start.
+func sameCuts(t *testing.T, what string, got, ref []int64) {
+	t.Helper()
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%s start %d: cut %d vs %d", what, i, got[i], ref[i])
+		}
+	}
+}
+
+func TestParallelMultistartDeterministicAcrossWorkerCounts(t *testing.T) {
+	h, bal := harnessInstance(t)
+	ref := startCuts(t, flatFactory(h, bal), bal, 9, 41, 1)
+	for _, workers := range []int{4, 9} {
+		sameCuts(t, fmt.Sprintf("workers=%d", workers), startCuts(t, flatFactory(h, bal), bal, 9, 41, workers), ref)
+	}
+}
+
+// Start i must equal the i-th root.Split() run of one sequential heuristic.
+func TestParallelMultistartMatchesSequential(t *testing.T) {
+	h, bal := harnessInstance(t)
+	factory := flatFactory(h, bal)
+	root := rng.New(55)
+	seq := factory()
+	ref := make([]int64, 6)
+	for i := range ref {
+		ref[i] = seq.Run(root.Split()).Cut
+	}
+	sameCuts(t, "parallel vs sequential", startCuts(t, factory, bal, 6, 55, 3), ref)
+}
+
+// Non-positive worker counts mean the default, and more workers than
+// starts is fine: both must match workers=1.
+func TestParallelMultistartWorkerCountEdges(t *testing.T) {
+	h, bal := harnessInstance(t)
+	ref := startCuts(t, flatFactory(h, bal), bal, 3, 77, 1)
+	for _, workers := range []int{-3, 0, 16} {
+		sameCuts(t, fmt.Sprintf("workers=%d", workers), startCuts(t, flatFactory(h, bal), bal, 3, 77, workers), ref)
+	}
+}
+
+// Only the best start keeps its partition.
+func TestParallelMultistartSinglePartitionRetained(t *testing.T) {
+	h, bal := harnessInstance(t)
+	rep := eval.RunMultistart(context.Background(), flatFactory(h, bal), 5, 2, eval.RunOptions{Workers: 2})
+	if rep.BestIdx < 0 || !rep.Best.P.Legal(bal) {
+		t.Fatalf("no legal best: %s", rep.Summary())
+	}
+	for i, sr := range rep.Results {
+		if kept := sr.Outcome.P != nil; kept != (i == rep.BestIdx) {
+			t.Fatalf("start %d: partition kept=%v, best is %d", i, kept, rep.BestIdx)
+		}
+	}
+}
+
+// n=0 is an empty report with no best, for any worker count.
+func TestParallelMultistartZeroStarts(t *testing.T) {
+	h, bal := harnessInstance(t)
+	for _, workers := range []int{-1, 0, 1, 4} {
+		rep := eval.RunMultistart(context.Background(), flatFactory(h, bal), 0, 1, eval.RunOptions{Workers: workers})
+		if len(rep.Results) != 0 || rep.Best.P != nil || rep.BestIdx != -1 {
+			t.Fatalf("workers=%d: want empty report for n=0, got %d results bestIdx=%d",
+				workers, len(rep.Results), rep.BestIdx)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func TestEngineMatchesReference(t *testing.T) {
 					aRef := randomAssignment(h, k, seed)
 					aOpt := append(objective.Assignment(nil), aRef...)
 
-					refRes, err := RefineReference(h, aRef, k, cfg, rng.New(seed * 7))
+					refRes, err := RefineReference(h, aRef, k, cfg, rng.New(seed*7))
 					if err != nil {
 						t.Fatal(err)
 					}

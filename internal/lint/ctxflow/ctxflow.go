@@ -48,8 +48,7 @@ var TargetPackages = []string{
 var startCallNames = map[string]bool{
 	"Run": true, "RunPruned": true, "runAttempt": true, "runStart": true,
 	"Multistart": true, "MultistartRobust": true, "RunMultistart": true,
-	"ParallelMultistart": true, "BestOfK": true, "BestWithinBudget": true,
-	"PrunedMultistart": true, "EvaluateConfigurations": true,
+	"BestOfK": true, "BestWithinBudget": true, "PrunedMultistart": true,
 	"EvaluateConfigurationsCtx": true, "minAvgCell": true,
 }
 

@@ -14,7 +14,7 @@ import (
 // fixed, ordered list so that arm indices (and therefore winner selection
 // tie-breaks) are stable across builds.
 type Arm struct {
-	// Name identifies the arm in traces, the outcome store and metrics.
+	// Name identifies the arm in traces and metrics.
 	Name string
 	// Multilevel selects the ML engine; VCycles is its polish depth.
 	Multilevel bool

@@ -1,6 +1,6 @@
 // Package portfolio implements the adaptive portfolio scheduler: a
 // deterministic feature→bucket→race→commit pipeline over the existing engine
-// configurations, plus a persistent, CRC-framed per-bucket outcome store.
+// configurations.
 //
 // The paper's core empirical finding is that configuration choice (LIFO vs
 // CLIP, tie-breaking, corking) dominates partitioner quality and is strongly
@@ -10,9 +10,7 @@
 // commits the remainder to the winning arm. Every step — feature extraction,
 // bucketing, the race, winner selection, the commit — is a pure function of
 // (instance, seed, budget), so portfolio mode preserves the repo's
-// byte-identical-output contract (DESIGN.md §15). The outcome store is
-// strictly advisory: it observes races and predicts winners for telemetry,
-// but never influences which arm wins.
+// byte-identical-output contract (DESIGN.md §15).
 package portfolio
 
 import (
@@ -113,10 +111,11 @@ func quantile(sizes []int, pct int) int {
 	return sizes[idx]
 }
 
-// Bucket is a cell of the small discrete feature grid the outcome store
-// aggregates over. The grid is deliberately coarse — a handful of classes
-// per axis — so that per-bucket statistics accumulate quickly across
-// requests and the store stays inspectable by hand.
+// Bucket is a cell of the small discrete feature grid that race outcomes
+// are aggregated over (the hgserved_portfolio_arm_wins_total labels). The
+// grid is deliberately coarse — a handful of classes per axis — so that
+// per-bucket statistics accumulate quickly across requests and stay
+// inspectable by hand.
 type Bucket struct {
 	// SizeClass classifies vertex count: 0 (<2e3), 1 (<2e4), 2 (<2e5), 3.
 	SizeClass int `json:"size_class"`

@@ -63,11 +63,6 @@ type ArmTrace struct {
 
 // RaceResult is the outcome of the racing slice: the extracted features and
 // bucket, one trace per arm, and the winning arm's best outcome.
-//
-// Predicted and StoreHit are advisory observability fields fed by the
-// outcome store — they report what the store would have guessed and whether
-// the guess matched. They feed logs and metrics only and MUST NOT enter any
-// deterministic report body: a warm store would otherwise change the bytes.
 type RaceResult struct {
 	Features Features
 	Bucket   Bucket
@@ -80,24 +75,16 @@ type RaceResult struct {
 	Best   eval.Outcome
 	// RaceWork is the total work spent racing, across all arms.
 	RaceWork int64
-	// Predicted is the store's pre-race prediction ("" when the bucket was
-	// cold or no store is attached); StoreHit reports Predicted matched the
-	// actual winner. Advisory only — see above.
-	Predicted string
-	StoreHit  bool
 }
 
 // Scheduler races a portfolio of arms and selects the winner for a commit.
-// The zero value races DefaultArms with one start per arm and no store.
+// The zero value races DefaultArms with one start per arm.
 type Scheduler struct {
 	// Arms is the portfolio; nil means DefaultArms().
 	Arms []Arm
 	// RaceStarts is the per-arm start count used when the race has no work
 	// budget; <= 0 means 1.
 	RaceStarts int
-	// Store, when non-nil, records every race and supplies the advisory
-	// Predicted/StoreHit fields. It never influences winner selection.
-	Store *Store
 	// Progress, when non-nil, is called after every race start with the arm
 	// name and that start's raw cut — a heartbeat hook for watchdogs and
 	// live status views. It observes only; it cannot influence the race.
@@ -110,7 +97,7 @@ type Scheduler struct {
 // arm's own polish step, and the winner is the lexicographic minimum of
 // (cut, work, arm index) over arms with a legal best. The result is a pure
 // function of (h, seed, raceWork): arms run sequentially, each from its own
-// derived seed, and the store — warm or cold — never affects the outcome.
+// derived seed.
 //
 // A cancelled ctx aborts the race with ctx's error; partial races are never
 // returned, so callers cannot commit to a winner chosen under a truncated
@@ -142,9 +129,6 @@ func (s *Scheduler) Race(ctx context.Context, h *hypergraph.Hypergraph, bal part
 		Winner:   -1,
 	}
 	res.Bucket = BucketOf(res.Features)
-	if s.Store != nil {
-		res.Predicted, _ = s.Store.Predict(res.Bucket.Key())
-	}
 
 	verify := eval.VerifyOutcome(bal)
 	bests := make([]eval.Outcome, len(arms))
@@ -207,12 +191,6 @@ func (s *Scheduler) Race(ctx context.Context, h *hypergraph.Hypergraph, bal part
 	}
 	res.Traces[res.Winner].Won = true
 	res.Best = bests[res.Winner]
-	res.StoreHit = res.Predicted != "" && res.Predicted == arms[res.Winner].Name
-	if s.Store != nil {
-		// Recording is advisory: a full disk or corrupted store must not
-		// fail the race. Errors surface via Store.Err for telemetry.
-		s.Store.RecordRace(res.Bucket.Key(), seed, res.Traces)
-	}
 	return res, nil
 }
 

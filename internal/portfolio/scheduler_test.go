@@ -3,7 +3,6 @@ package portfolio
 import (
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"testing"
 
 	"hgpart/internal/gen"
@@ -25,8 +24,7 @@ func balanceFor(h *hypergraph.Hypergraph) partition.Balance {
 }
 
 // raceBytes serializes the deterministic surface of a race result — exactly
-// the fields that may enter a report body. Predicted/StoreHit are advisory
-// and deliberately excluded.
+// the fields that may enter a report body.
 func raceBytes(t *testing.T, res *RaceResult) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
@@ -161,10 +159,9 @@ func TestRaceInfeasible(t *testing.T) {
 // TestPortfolioSmoke is the CI portfolio-smoke gate (make portfolio-smoke):
 // on two gen profiles — one macro-bearing IBM-like, one unit-area MCNC-like —
 // the full race+commit schedule must produce byte-identical results across
-// two runs and across a cold vs warm outcome store (including a store
-// reopened from disk, i.e. a restart). This is the package-level half of the
-// determinism contract; cmd/hgchaos proves the service-level half across
-// cluster topologies.
+// two runs. This is the package-level half of the determinism contract;
+// cmd/hgchaos proves the service-level half across restarts and cluster
+// topologies.
 func TestPortfolioSmoke(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -181,51 +178,17 @@ func TestPortfolioSmoke(t *testing.T) {
 			bal := balanceFor(h)
 			const seed, starts = 1, 3
 
-			run := func(st *Store) []byte {
-				s := &Scheduler{Store: st}
-				res, err := s.Run(context.Background(), h, bal, seed, starts, 0)
+			run := func() []byte {
+				res, err := (&Scheduler{}).Run(context.Background(), h, bal, seed, starts, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return runBytes(t, res)
 			}
 
-			// Two cold runs, no store.
-			first := run(nil)
-			if second := run(nil); string(first) != string(second) {
+			first := run()
+			if second := run(); string(first) != string(second) {
 				t.Fatalf("repeat run differs:\n%s\n%s", first, second)
-			}
-
-			// Cold store, then the same store warm in-memory, then warm
-			// reopened from disk: the store must never change the bytes.
-			path := filepath.Join(t.TempDir(), "portfolio.store")
-			st, err := OpenStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold := run(st); string(cold) != string(first) {
-				t.Fatalf("cold-store run differs from storeless run:\n%s\n%s", first, cold)
-			}
-			if warm := run(st); string(warm) != string(first) {
-				t.Fatalf("warm-store run differs:\n%s", warm)
-			}
-			if err := st.Err(); err != nil {
-				t.Fatalf("store error: %v", err)
-			}
-			st.Close()
-			st2, err := OpenStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st2.Close()
-			// The reopened store is warm: it must predict and still not
-			// perturb a single byte.
-			bucket := BucketOf(Extract(h)).Key()
-			if _, ok := st2.Predict(bucket); !ok {
-				t.Fatalf("reopened store is cold for bucket %s", bucket)
-			}
-			if reopened := run(st2); string(reopened) != string(first) {
-				t.Fatalf("restarted-store run differs:\n%s", reopened)
 			}
 		})
 	}

@@ -254,12 +254,6 @@ type Manager struct {
 	cache   *Cache
 	metrics *Metrics
 	log     *slog.Logger
-	// store is the portfolio outcome store, shared by every mode=portfolio
-	// job on this node. It lives next to the checkpoint journals so cluster
-	// workers sharing a checkpoint dir warm-start each other; nil when
-	// checkpointing is off or the store failed to open (portfolio jobs then
-	// run storeless — the store is advisory and never changes results).
-	store *portfolio.Store
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -293,15 +287,6 @@ func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *M
 		log:      log,
 		inflight: make(map[string]*Job),
 		jobs:     make(map[string]*Job),
-	}
-	if cfg.CheckpointDir != "" {
-		path := filepath.Join(cfg.CheckpointDir, "portfolio.store")
-		st, err := portfolio.OpenStoreFS(cfg.FS, path)
-		if err != nil {
-			log.Warn("portfolio store open failed; racing storeless", "path", path, "err", err)
-		} else {
-			m.store = st
-		}
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
@@ -527,9 +512,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
-	if m.store != nil {
-		m.store.Close()
-	}
 	return nil
 }
 
@@ -546,9 +528,6 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.baseCancel()
 	m.wg.Wait()
-	if m.store != nil {
-		m.store.Close()
-	}
 }
 
 func (m *Manager) removeInflight(key string) {

@@ -43,12 +43,10 @@ type Metrics struct {
 	steals         int64 //hglint:guardedby mu
 	localFallbacks int64 //hglint:guardedby mu
 
-	// portfolio-mode counters: races run, outcome-store prediction hits, and
-	// wins per (feature bucket, arm) pair. All advisory observability — the
-	// store never influences results (DESIGN.md §15).
-	portfolioRaces     int64            //hglint:guardedby mu
-	portfolioStoreHits int64            //hglint:guardedby mu
-	portfolioWins      map[armKey]int64 //hglint:guardedby mu
+	// portfolio-mode counters: races run and wins per (feature bucket, arm)
+	// pair — the observed per-bucket ranking (DESIGN.md §15).
+	portfolioRaces int64            //hglint:guardedby mu
+	portfolioWins  map[armKey]int64 //hglint:guardedby mu
 
 	// net-chaos / RPC-integrity counters (DESIGN.md §16): faults the chaos
 	// transport injected by kind, internal responses that failed the sha256
@@ -171,14 +169,11 @@ func (m *Metrics) DeadlineAbandon() {
 	m.mu.Unlock()
 }
 
-// PortfolioRace counts one mode=portfolio race: which (bucket, arm) pair
-// won, and whether the outcome store's prediction matched the winner.
-func (m *Metrics) PortfolioRace(bucket, winner string, storeHit bool) {
+// PortfolioRace counts one mode=portfolio race and which (bucket, arm) pair
+// won it.
+func (m *Metrics) PortfolioRace(bucket, winner string) {
 	m.mu.Lock()
 	m.portfolioRaces++
-	if storeHit {
-		m.portfolioStoreHits++
-	}
 	m.portfolioWins[armKey{bucket, winner}]++
 	m.mu.Unlock()
 }
@@ -242,7 +237,7 @@ func (m *Metrics) Render(w io.Writer, g GaugeSnapshot) {
 	kicks, requeued := m.watchdogKicks, m.requeued
 	peerHits, dispatches := m.peerHits, m.dispatches
 	failovers, steals, localFallbacks := m.failovers, m.steals, m.localFallbacks
-	portfolioRaces, portfolioStoreHits := m.portfolioRaces, m.portfolioStoreHits
+	portfolioRaces := m.portfolioRaces
 	deadlineAbandons := m.deadlineAbandons
 	faultKeys := make([]string, 0, len(m.netFaults))
 	for k := range m.netFaults {
@@ -395,10 +390,6 @@ func (m *Metrics) Render(w io.Writer, g GaugeSnapshot) {
 	fmt.Fprintln(w, "# HELP hgserved_portfolio_races_total Portfolio-mode races run.")
 	fmt.Fprintln(w, "# TYPE hgserved_portfolio_races_total counter")
 	fmt.Fprintf(w, "hgserved_portfolio_races_total %d\n", portfolioRaces)
-
-	fmt.Fprintln(w, "# HELP hgserved_portfolio_store_hits_total Races where the outcome store predicted the winner.")
-	fmt.Fprintln(w, "# TYPE hgserved_portfolio_store_hits_total counter")
-	fmt.Fprintf(w, "hgserved_portfolio_store_hits_total %d\n", portfolioStoreHits)
 
 	fmt.Fprintln(w, "# HELP hgserved_portfolio_arm_wins_total Race wins by feature bucket and arm.")
 	fmt.Fprintln(w, "# TYPE hgserved_portfolio_arm_wins_total counter")

@@ -12,16 +12,12 @@ import (
 // portfolio for the first slice of the request's work budget, then hand the
 // shared lifecycle the winning arm to commit the remainder to, with the
 // race's polished best as the fallback the commit must beat. The report is a
-// pure function of (instance, starts, tolerance, seed, work budget) — the
-// shared outcome store only feeds logs and metrics, so a warm store, a
-// restart, or a different cluster topology cannot change a byte. ctx carries
+// pure function of (instance, starts, tolerance, seed, work budget), so a
+// restart or a different cluster topology cannot change a byte. ctx carries
 // the job's wall deadline; an expiry here (budget far too small to race at
 // all) is an error, reported as 422. See DESIGN.md §15.
 func (m *Manager) portfolioPlan(ctx context.Context, j *Job, bal partition.Balance) (*jobPlan, error) {
-	sched := &portfolio.Scheduler{
-		Store:    m.store,
-		Progress: func(string, int64) { j.beat() },
-	}
+	sched := &portfolio.Scheduler{Progress: func(string, int64) { j.beat() }}
 	race, err := sched.Race(ctx, j.inst, bal, j.req.Seed, portfolio.RaceBudget(j.req.WorkBudget))
 	switch {
 	case errors.Is(err, portfolio.ErrInfeasible):
@@ -32,14 +28,9 @@ func (m *Manager) portfolioPlan(ctx context.Context, j *Job, bal partition.Balan
 		return nil, err
 	}
 	arm := race.Arms[race.Winner]
-	if st := m.store; st != nil && st.Err() != nil {
-		m.log.Warn("portfolio store degraded; outcomes may not persist",
-			"job", j.ID, "err", st.Err())
-	}
-	m.metrics.PortfolioRace(race.Bucket.Key(), arm.Name, race.StoreHit)
+	m.metrics.PortfolioRace(race.Bucket.Key(), arm.Name)
 	m.log.Info("portfolio race", "job", j.ID, "bucket", race.Bucket.Key(),
-		"winner", arm.Name, "predicted", race.Predicted, "store_hit", race.StoreHit,
-		"race_work", race.RaceWork)
+		"winner", arm.Name, "race_work", race.RaceWork)
 
 	cseed := portfolio.CommitSeed(j.req.Seed)
 	return &jobPlan{

@@ -16,11 +16,10 @@ const portfolioReq = `{"benchmark":"ibm01","scale":0.1,"mode":"portfolio","start
 
 // TestPortfolioModeEndToEnd is the service half of the portfolio determinism
 // contract: the same mode=portfolio request must produce byte-identical
-// reports on repeat (cache hit), on a storeless server, and on a fresh
-// server sharing the first server's checkpoint dir — where the outcome store
-// is warm but the result cache is cold, so the report is recomputed with the
-// store predicting the winner. A warm store changing a single byte would
-// poison the content-addressed cache.
+// reports on repeat (cache hit), on a server with no checkpoint dir, and on
+// a fresh server sharing the first server's checkpoint dir — where the
+// result cache is cold, so the report is recomputed. A restart changing a
+// single byte would poison the content-addressed cache.
 func TestPortfolioModeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	_, hs := testServer(t, func(c *service.Config) { c.CheckpointDir = dir })
@@ -68,31 +67,28 @@ func TestPortfolioModeEndToEnd(t *testing.T) {
 		t.Fatalf("cache hit differs from computed body")
 	}
 
-	// A storeless server (no checkpoint dir) must agree byte for byte: the
-	// store is advisory.
-	_, hsNoStore := testServer(t, nil)
-	resp3, body3 := post(t, hsNoStore, portfolioReq)
+	// A server with no checkpoint dir must agree byte for byte.
+	_, hsNoCP := testServer(t, nil)
+	resp3, body3 := post(t, hsNoCP, portfolioReq)
 	if resp3.StatusCode != 200 {
-		t.Fatalf("storeless request failed: %d %s", resp3.StatusCode, body3)
+		t.Fatalf("no-checkpoint request failed: %d %s", resp3.StatusCode, body3)
 	}
 	if !bytes.Equal(body, body3) {
-		t.Fatalf("storeless server disagrees:\n%s\nvs\n%s", body, body3)
+		t.Fatalf("no-checkpoint server disagrees:\n%s\nvs\n%s", body, body3)
 	}
 
-	// A fresh server on the same checkpoint dir reopens the outcome store
-	// warm (the first race persisted its outcomes) while its result cache is
-	// cold: the report is recomputed under a predicting store and must not
-	// move a byte.
-	_, hsWarm := testServer(t, func(c *service.Config) { c.CheckpointDir = dir })
-	resp4, body4 := post(t, hsWarm, portfolioReq)
+	// A fresh server on the same checkpoint dir has a cold result cache: the
+	// report is recomputed and must not move a byte.
+	_, hsRestart := testServer(t, func(c *service.Config) { c.CheckpointDir = dir })
+	resp4, body4 := post(t, hsRestart, portfolioReq)
 	if resp4.StatusCode != 200 {
-		t.Fatalf("warm-store request failed: %d %s", resp4.StatusCode, body4)
+		t.Fatalf("restarted request failed: %d %s", resp4.StatusCode, body4)
 	}
 	if resp4.Header.Get("X-Hgserved-Cache") != "miss" {
-		t.Fatalf("warm-store disposition %q, want miss (cold cache)", resp4.Header.Get("X-Hgserved-Cache"))
+		t.Fatalf("restarted disposition %q, want miss (cold cache)", resp4.Header.Get("X-Hgserved-Cache"))
 	}
 	if !bytes.Equal(body, body4) {
-		t.Fatalf("warm-store server disagrees:\n%s\nvs\n%s", body, body4)
+		t.Fatalf("restarted server disagrees:\n%s\nvs\n%s", body, body4)
 	}
 }
 
@@ -122,7 +118,6 @@ func TestPortfolioValidationAndMetrics(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"hgserved_portfolio_races_total 1",
-		"hgserved_portfolio_store_hits_total 0",
 		`hgserved_portfolio_arm_wins_total{bucket="`,
 	} {
 		if !strings.Contains(text, want) {

@@ -345,9 +345,7 @@ type Report struct {
 	BSF []BSFEntry `json:"bsf"`
 
 	// Portfolio is present only under mode=portfolio: the racing slice's
-	// deterministic trace. Advisory store fields (prediction, store hit) are
-	// deliberately absent — they ride in metrics and logs so a warm store
-	// cannot change the report bytes.
+	// deterministic trace.
 	Portfolio *PortfolioReport `json:"portfolio,omitempty"`
 }
 
