@@ -11,8 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
+# bench/ is a module of its own, so the root ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Fails when any tracked Go file outside testdata/ is not gofmt-clean
 # (testdata holds analyzer fixtures kept in their authored shape).

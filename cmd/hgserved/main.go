@@ -76,7 +76,7 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 4096, "result-cache entry bound (<=0 unbounded)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result-cache byte bound (<=0 unbounded)")
 		cpDir        = flag.String("checkpoint-dir", "", "journal running jobs' completed starts here; empty disables checkpointing")
-		maxBody      = flag.Int64("max-body-bytes", 64<<20, "request body size bound")
+		maxBody      = flag.Int64("max-body-bytes", 64<<20, "request body size bound (>= 1)")
 		maxVertices  = flag.Int("max-vertices", 2_000_000, "reject instances with more vertices (<=0 disables)")
 		maxPins      = flag.Int("max-pins", 20_000_000, "reject instances with more pins (<=0 disables)")
 		stuckAfter   = flag.Duration("stuck-after", 2*time.Minute, "watchdog: cancel a job whose run makes no progress for this long (<=0 disables)")
@@ -96,6 +96,12 @@ func main() {
 		dispatchDL      = flag.Duration("dispatch-deadline", 0, "coordinator: per-dispatch deadline, propagated to workers as X-Hg-Deadline (<=0 disables)")
 	)
 	flag.Parse()
+	if *maxBody < 1 {
+		// The bound guards the daemon against outside input, so it has no
+		// "disabled" value: 0 would boot a daemon that rejects every body.
+		fmt.Fprintln(os.Stderr, "hgserved: -max-body-bytes must be >= 1")
+		os.Exit(2)
+	}
 
 	var handler slog.Handler
 	if *logJSON {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -14,9 +15,10 @@ import (
 )
 
 // TestServeSmoke is the end-to-end gate behind `make serve-smoke`: build the
-// real binary, boot it on an ephemeral port, check liveness, submit a
-// request twice (computed then cached, byte-identical), and shut it down
-// with SIGTERM expecting a clean graceful exit.
+// real binary, reject an unusable -max-body-bytes at startup, boot it on an
+// ephemeral port, check liveness, submit a request twice (computed then
+// cached, byte-identical), and shut it down with SIGTERM expecting a clean
+// graceful exit.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the daemon; skipped in -short")
@@ -28,7 +30,21 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
+	// A body bound below 1 byte would reject every request: it is a usage
+	// error (exit 2) before the daemon listens. A daemon that boots anyway is
+	// killed after 10s and fails the exit-code check.
 	addrFile := filepath.Join(dir, "addr")
+	badCtx, cancelBad := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelBad()
+	bad := exec.CommandContext(badCtx, bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-max-body-bytes", "0")
+	if out, err := bad.CombinedOutput(); bad.ProcessState == nil || bad.ProcessState.ExitCode() != 2 ||
+		!strings.Contains(string(out), "-max-body-bytes") {
+		t.Fatalf("-max-body-bytes 0: err %v, want exit 2 naming the flag\n%s", err, out)
+	}
+	if _, err := os.Stat(addrFile); !os.IsNotExist(err) {
+		t.Fatalf("-max-body-bytes 0 wrote an addr file (stat err %v): it must exit before listening", err)
+	}
+
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-addr-file", addrFile,

@@ -40,7 +40,6 @@ type Sampler struct {
 	mu    sync.Mutex
 	buf   []float64
 	next  int
-	full  bool
 	count int64
 }
 
@@ -62,7 +61,6 @@ func (s *Sampler) Observe(v float64) {
 		s.buf = append(s.buf, v)
 		return
 	}
-	s.full = true
 	s.buf[s.next] = v
 	s.next = (s.next + 1) % cap(s.buf)
 }

@@ -291,10 +291,6 @@ type Coordinator struct {
 	nextSeq  int64                    //hglint:guardedby mu
 	closed   bool                     //hglint:guardedby mu
 
-	steals         int64 //hglint:guardedby mu
-	failovers      int64 //hglint:guardedby mu
-	localFallbacks int64 //hglint:guardedby mu
-
 	wg sync.WaitGroup
 }
 
@@ -528,7 +524,6 @@ func (c *Coordinator) next(home string) *clusterJob {
 				q := c.queues[best]
 				cj := q[0]
 				c.queues[best] = q[1:]
-				c.steals++
 				c.srv.metrics.ClusterSteal()
 				c.log.Info("cluster: stole queued job", "job", cj.ID, "from", best, "to", home)
 				return cj
@@ -657,7 +652,6 @@ func (c *Coordinator) failover(worker string, cj *clusterJob, cause error) {
 		c.finishJob(cj, http.StatusServiceUnavailable, nil, "coordinator draining", "")
 		return
 	}
-	c.failovers++
 	c.srv.metrics.ClusterFailover()
 	c.log.Warn("cluster: dispatch failed; failing job over", "job", cj.ID, "worker", worker, "err", cause)
 	c.tripBreakerLocked(worker, cause)
@@ -691,7 +685,6 @@ func (c *Coordinator) enqueueLocked(cj *clusterJob) {
 // localFallbackLocked degrades one job to a local compute on the
 // coordinator's own Manager. Called with c.mu held.
 func (c *Coordinator) localFallbackLocked(cj *clusterJob, why string) {
-	c.localFallbacks++
 	c.srv.metrics.ClusterLocalFallback()
 	c.log.Warn("cluster: degrading to local compute", "job", cj.ID, "reason", why)
 	c.wg.Add(1)
@@ -854,17 +847,19 @@ type ClusterStatus struct {
 	Jobs           int            `json:"jobs"`
 }
 
-// Status snapshots the cluster view.
+// Status snapshots the cluster view. Its counters are the /metrics
+// registry's, so both surfaces report one number.
 func (c *Coordinator) Status() ClusterStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	m := c.srv.metrics
 	st := ClusterStatus{
 		Mode:           "coordinator",
-		Steals:         c.steals,
-		Failovers:      c.failovers,
-		LocalFallbacks: c.localFallbacks,
-		Jobs:           len(c.jobs),
+		Steals:         m.steals.get(),
+		Failovers:      m.failovers.get(),
+		LocalFallbacks: m.localFallbacks.get(),
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.Jobs = len(c.jobs)
 	for _, addr := range c.ring.Nodes() {
 		h := c.health[addr]
 		st.Workers = append(st.Workers, WorkerStatus{

@@ -86,6 +86,20 @@ func TestClusterDegradesToLocalCompute(t *testing.T) {
 	if st.Mode != "coordinator" || st.LocalFallbacks < 1 {
 		t.Fatalf("cluster status %+v, want coordinator mode with >=1 local fallback", st)
 	}
+	// /v1/cluster and /metrics read one set of counters.
+	metrics := getText(t, hs, "/metrics")
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"hgserved_cluster_local_fallbacks_total", st.LocalFallbacks},
+		{"hgserved_cluster_steals_total", st.Steals},
+		{"hgserved_cluster_failovers_total", st.Failovers},
+	} {
+		if line := fmt.Sprintf("%s %d\n", c.name, c.v); !strings.Contains(metrics, line) {
+			t.Errorf("/metrics lacks %q matching /v1/cluster %+v:\n%s", line, st, metrics)
+		}
+	}
 }
 
 // Routing through a live worker: the coordinator's response is the worker's

@@ -1,60 +1,98 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"hgpart/internal/perf"
 )
 
+// metricsWindow bounds the ns/work-unit quantile sampler to the most recent
+// executed runs.
+const metricsWindow = 1024
+
+// labelValues is one series' label values, in its family's label order.
+// Families carry at most two labels.
+type labelValues [2]string
+
+// family is one Prometheus metric family: name, HELP text, TYPE, label
+// names, and one value per label set. Counter families live in Metrics for
+// the process lifetime; gauge families are built per scrape from a
+// GaugeSnapshot and written through the same write.
+type family struct {
+	name, help, kind string
+	labels           []string
+
+	mu     sync.Mutex
+	values map[labelValues]int64 //hglint:guardedby mu
+}
+
+func newFamily(kind, name, help string, labels ...string) *family {
+	return &family{name: name, help: help, kind: kind, labels: labels, values: make(map[labelValues]int64)}
+}
+
+// add adds n to the series whose label values are vals (one per label).
+func (f *family) add(n int64, vals ...string) {
+	var k labelValues
+	copy(k[:], vals)
+	f.mu.Lock()
+	f.values[k] += n
+	f.mu.Unlock()
+}
+
+// get returns an unlabelled family's current value.
+func (f *family) get() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.values[labelValues{}]
+}
+
+// write appends the HELP/TYPE header and every series, sorted by label
+// values. An unlabelled family always prints its value, even 0.
+func (f *family) write(b *bytes.Buffer) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.labels) == 0 {
+		fmt.Fprintf(b, "%s %d\n", f.name, f.values[labelValues{}])
+		return
+	}
+	keys := make([]labelValues, 0, len(f.values))
+	for k := range f.values {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y labelValues) int {
+		return cmp.Or(strings.Compare(x[0], y[0]), strings.Compare(x[1], y[1]))
+	})
+	for _, k := range keys {
+		b.WriteString(f.name)
+		sep := "{"
+		for i, l := range f.labels {
+			b.WriteString(sep + l + "=" + strconv.Quote(k[i]))
+			sep = ","
+		}
+		fmt.Fprintf(b, "} %d\n", f.values[k])
+	}
+}
+
 // Metrics is the service's observability surface, rendered in Prometheus
 // text exposition format at /metrics. It is hand-rolled — the repository
-// adds no dependencies — and deliberately tiny: counters, gauges read at
-// scrape time, and ns-per-work-unit quantiles from a bounded perf.Sampler
-// window (the serving-time analogue of hgbench's ns/move).
-type reqKey struct {
-	route string
-	code  int
-}
-
-// armKey labels one portfolio arm-win counter series.
-type armKey struct {
-	bucket string
-	arm    string
-}
-
+// adds no dependencies — and deliberately tiny: counter families, gauges
+// read at scrape time, and ns-per-work-unit quantiles from a bounded
+// perf.Sampler window (the serving-time analogue of hgbench's ns/move).
 type Metrics struct {
-	mu            sync.Mutex
-	requests      map[reqKey]int64   //hglint:guardedby mu
-	submitted     int64              //hglint:guardedby mu
-	finished      map[JobState]int64 //hglint:guardedby mu
-	workUnits     int64              //hglint:guardedby mu
-	watchdogKicks int64              //hglint:guardedby mu
-	requeued      int64              //hglint:guardedby mu
-
-	// cluster/peering counters; zero (and harmless) on single-node daemons.
-	peerHits       int64 //hglint:guardedby mu
-	dispatches     int64 //hglint:guardedby mu
-	failovers      int64 //hglint:guardedby mu
-	steals         int64 //hglint:guardedby mu
-	localFallbacks int64 //hglint:guardedby mu
-
-	// portfolio-mode counters: races run and wins per (feature bucket, arm)
-	// pair — the observed per-bucket ranking (DESIGN.md §15).
-	portfolioRaces int64            //hglint:guardedby mu
-	portfolioWins  map[armKey]int64 //hglint:guardedby mu
-
-	// net-chaos / RPC-integrity counters (DESIGN.md §16): faults the chaos
-	// transport injected by kind, internal responses that failed the sha256
-	// envelope by source ("peer" or "dispatch"), and jobs abandoned because
-	// the coordinator's propagated deadline passed.
-	netFaults         map[string]int64 //hglint:guardedby mu
-	integrityFailures map[string]int64 //hglint:guardedby mu
-	deadlineAbandons  int64            //hglint:guardedby mu
+	requests, submitted, finished, watchdogKicks, requeued  *family
+	peerHits, dispatches, failovers, steals, localFallbacks *family
+	netFaults, integrityFailures, deadlineAbandons          *family
+	portfolioRaces, portfolioWins, workUnits                *family
 
 	// nsPerWork samples wall-nanoseconds per deterministic work unit for
 	// every executed run; quantiles expose serving-speed drift the same way
@@ -62,136 +100,98 @@ type Metrics struct {
 	nsPerWork *perf.Sampler
 }
 
-// NewMetrics builds the registry. window bounds the ns/work sampler.
-func NewMetrics(window int) *Metrics {
+// NewMetrics builds the registry: every counter family is declared here,
+// once. Cluster counters stay zero on single-node daemons; the net-chaos
+// and integrity families are DESIGN.md §16's, the portfolio ones §15's.
+func NewMetrics() *Metrics {
+	counter := func(name, help string, labels ...string) *family {
+		return newFamily("counter", name, help, labels...)
+	}
 	return &Metrics{
-		requests:          make(map[reqKey]int64),
-		finished:          make(map[JobState]int64),
-		portfolioWins:     make(map[armKey]int64),
-		netFaults:         make(map[string]int64),
-		integrityFailures: make(map[string]int64),
-		nsPerWork:         perf.NewSampler(window),
+		requests:          counter("hgserved_requests_total", "HTTP requests by route and status code.", "route", "code"),
+		submitted:         counter("hgserved_jobs_submitted_total", "Jobs accepted into the queue."),
+		finished:          counter("hgserved_jobs_finished_total", "Jobs reaching a terminal state.", "state"),
+		watchdogKicks:     counter("hgserved_watchdog_kicks_total", "Stalled runs cancelled by the progress watchdog."),
+		requeued:          counter("hgserved_jobs_requeued_total", "Stuck jobs requeued by the watchdog for another attempt."),
+		peerHits:          counter("hgserved_peer_cache_hits_total", "Reports served from a sibling worker's cache."),
+		dispatches:        counter("hgserved_cluster_dispatches_total", "Job dispatch RPCs sent to workers."),
+		failovers:         counter("hgserved_cluster_failovers_total", "Jobs reassigned off a dead worker."),
+		steals:            counter("hgserved_cluster_steals_total", "Queued jobs stolen by idle workers."),
+		localFallbacks:    counter("hgserved_cluster_local_fallbacks_total", "Jobs degraded to a local compute (no healthy workers)."),
+		netFaults:         counter("hgserved_net_faults_injected_total", "Faults injected by the chaos net transport, by fault kind.", "fault"),
+		integrityFailures: counter("hgserved_integrity_failures_total", "Internal responses failing the sha256 body envelope, by source.", "source"),
+		deadlineAbandons:  counter("hgserved_deadline_abandons_total", "Jobs abandoned because the coordinator's propagated deadline passed."),
+		portfolioRaces:    counter("hgserved_portfolio_races_total", "Portfolio-mode races run."),
+		portfolioWins:     counter("hgserved_portfolio_arm_wins_total", "Race wins by feature bucket and arm.", "bucket", "arm"),
+		workUnits:         counter("hgserved_work_units_total", "Deterministic FM work units executed."),
+		nsPerWork:         perf.NewSampler(metricsWindow),
 	}
 }
 
 // ObserveRequest counts one HTTP request by route label and status code.
 func (m *Metrics) ObserveRequest(route string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{route, code}]++
-	m.mu.Unlock()
+	m.requests.add(1, route, strconv.Itoa(code))
 }
 
 // JobSubmitted counts one accepted job.
-func (m *Metrics) JobSubmitted() {
-	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
+func (m *Metrics) JobSubmitted() { m.submitted.add(1) }
 
 // JobFinished counts one terminal job transition.
-func (m *Metrics) JobFinished(state JobState) {
-	m.mu.Lock()
-	m.finished[state]++
-	m.mu.Unlock()
-}
+func (m *Metrics) JobFinished(state JobState) { m.finished.add(1, string(state)) }
 
 // WatchdogKick counts one watchdog cancellation of a stalled run.
-func (m *Metrics) WatchdogKick() {
-	m.mu.Lock()
-	m.watchdogKicks++
-	m.mu.Unlock()
-}
+func (m *Metrics) WatchdogKick() { m.watchdogKicks.add(1) }
 
 // JobRequeued counts one watchdog-driven requeue of a stuck job.
-func (m *Metrics) JobRequeued() {
-	m.mu.Lock()
-	m.requeued++
-	m.mu.Unlock()
-}
+func (m *Metrics) JobRequeued() { m.requeued.add(1) }
 
 // PeerHit counts one report served from a sibling worker's cache.
-func (m *Metrics) PeerHit() {
-	m.mu.Lock()
-	m.peerHits++
-	m.mu.Unlock()
-}
+func (m *Metrics) PeerHit() { m.peerHits.add(1) }
 
 // ClusterDispatch counts one job dispatch RPC to a worker.
-func (m *Metrics) ClusterDispatch() {
-	m.mu.Lock()
-	m.dispatches++
-	m.mu.Unlock()
-}
+func (m *Metrics) ClusterDispatch() { m.dispatches.add(1) }
 
 // ClusterFailover counts one job reassigned off a dead worker.
-func (m *Metrics) ClusterFailover() {
-	m.mu.Lock()
-	m.failovers++
-	m.mu.Unlock()
-}
+func (m *Metrics) ClusterFailover() { m.failovers.add(1) }
 
 // ClusterSteal counts one queued job stolen by an idle worker's dispatcher.
-func (m *Metrics) ClusterSteal() {
-	m.mu.Lock()
-	m.steals++
-	m.mu.Unlock()
-}
+func (m *Metrics) ClusterSteal() { m.steals.add(1) }
 
 // ClusterLocalFallback counts one job degraded to a local compute because
 // no healthy worker remained (or a job bounced too often).
-func (m *Metrics) ClusterLocalFallback() {
-	m.mu.Lock()
-	m.localFallbacks++
-	m.mu.Unlock()
-}
+func (m *Metrics) ClusterLocalFallback() { m.localFallbacks.add(1) }
 
 // NetFaultInjected counts one fault the chaos transport injected, by the
 // fault's spec-grammar name ("refused", "corrupt", ...).
-func (m *Metrics) NetFaultInjected(fault string) {
-	m.mu.Lock()
-	m.netFaults[fault]++
-	m.mu.Unlock()
-}
+func (m *Metrics) NetFaultInjected(fault string) { m.netFaults.add(1, fault) }
 
 // IntegrityFailure counts one internal response whose body failed the
 // sha256 envelope check; source is "peer" or "dispatch".
-func (m *Metrics) IntegrityFailure(source string) {
-	m.mu.Lock()
-	m.integrityFailures[source]++
-	m.mu.Unlock()
-}
+func (m *Metrics) IntegrityFailure(source string) { m.integrityFailures.add(1, source) }
 
 // DeadlineAbandon counts one job abandoned because the coordinator's
 // propagated X-Hg-Deadline had passed.
-func (m *Metrics) DeadlineAbandon() {
-	m.mu.Lock()
-	m.deadlineAbandons++
-	m.mu.Unlock()
-}
+func (m *Metrics) DeadlineAbandon() { m.deadlineAbandons.add(1) }
 
 // PortfolioRace counts one mode=portfolio race and which (bucket, arm) pair
-// won it.
+// won it — the observed per-bucket ranking (DESIGN.md §15).
 func (m *Metrics) PortfolioRace(bucket, winner string) {
-	m.mu.Lock()
-	m.portfolioRaces++
-	m.portfolioWins[armKey{bucket, winner}]++
-	m.mu.Unlock()
+	m.portfolioRaces.add(1)
+	m.portfolioWins.add(1, bucket, winner)
 }
 
 // ObserveRun records one executed multistart: wall time and deterministic
 // work, feeding the ns/work quantiles and the work-unit throughput counter.
 func (m *Metrics) ObserveRun(elapsed time.Duration, work int64) {
-	m.mu.Lock()
-	m.workUnits += work
-	m.mu.Unlock()
+	m.workUnits.add(work)
 	if work > 0 {
 		m.nsPerWork.Observe(float64(elapsed.Nanoseconds()) / float64(work))
 	}
 }
 
-// Render writes the exposition text. Gauges that live elsewhere (queue
-// depth, running jobs, cache state, readiness) are read through the
-// supplied snapshot so Metrics has no back-pointer into the server.
+// GaugeSnapshot carries the gauges that live elsewhere (queue depth,
+// running jobs, cache state, readiness) into Render, so Metrics has no
+// back-pointer into the server.
 type GaugeSnapshot struct {
 	QueueDepth int
 	Running    int
@@ -206,210 +206,53 @@ type GaugeSnapshot struct {
 	Breakers map[string]int
 }
 
-// Render writes all metrics in Prometheus text format, keys sorted so
-// consecutive scrapes differ only in values.
+// Render writes all metrics in Prometheus text format, series sorted so
+// consecutive scrapes differ only in values. The exposition is built in a
+// buffer first, so no lock is held while writing to w.
 func (m *Metrics) Render(w io.Writer, g GaugeSnapshot) {
-	m.mu.Lock()
-	reqKeys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
+	scraped := func(kind, name, help string, v int64) *family {
+		f := newFamily(kind, name, help)
+		f.add(v)
+		return f
 	}
-	stateKeys := make([]string, 0, len(m.finished))
-	for k := range m.finished {
-		stateKeys = append(stateKeys, string(k))
-	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].route != reqKeys[j].route {
-			return reqKeys[i].route < reqKeys[j].route
-		}
-		return reqKeys[i].code < reqKeys[j].code
-	})
-	sort.Strings(stateKeys)
-	requests := make(map[reqKey]int64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	finished := make(map[string]int64, len(m.finished))
-	for k, v := range m.finished {
-		finished[string(k)] = v
-	}
-	submitted, workUnits := m.submitted, m.workUnits
-	kicks, requeued := m.watchdogKicks, m.requeued
-	peerHits, dispatches := m.peerHits, m.dispatches
-	failovers, steals, localFallbacks := m.failovers, m.steals, m.localFallbacks
-	portfolioRaces := m.portfolioRaces
-	deadlineAbandons := m.deadlineAbandons
-	faultKeys := make([]string, 0, len(m.netFaults))
-	for k := range m.netFaults {
-		faultKeys = append(faultKeys, k)
-	}
-	sort.Strings(faultKeys)
-	netFaults := make(map[string]int64, len(m.netFaults))
-	for k, v := range m.netFaults {
-		netFaults[k] = v
-	}
-	integrityKeys := make([]string, 0, len(m.integrityFailures))
-	for k := range m.integrityFailures {
-		integrityKeys = append(integrityKeys, k)
-	}
-	sort.Strings(integrityKeys)
-	integrityFailures := make(map[string]int64, len(m.integrityFailures))
-	for k, v := range m.integrityFailures {
-		integrityFailures[k] = v
-	}
-	winKeys := make([]armKey, 0, len(m.portfolioWins))
-	for k := range m.portfolioWins {
-		winKeys = append(winKeys, k)
-	}
-	sort.Slice(winKeys, func(i, j int) bool {
-		if winKeys[i].bucket != winKeys[j].bucket {
-			return winKeys[i].bucket < winKeys[j].bucket
-		}
-		return winKeys[i].arm < winKeys[j].arm
-	})
-	wins := make(map[armKey]int64, len(m.portfolioWins))
-	for k, v := range m.portfolioWins {
-		wins[k] = v
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP hgserved_requests_total HTTP requests by route and status code.")
-	fmt.Fprintln(w, "# TYPE hgserved_requests_total counter")
-	for _, k := range reqKeys {
-		fmt.Fprintf(w, "hgserved_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP hgserved_jobs_submitted_total Jobs accepted into the queue.")
-	fmt.Fprintln(w, "# TYPE hgserved_jobs_submitted_total counter")
-	fmt.Fprintf(w, "hgserved_jobs_submitted_total %d\n", submitted)
-
-	fmt.Fprintln(w, "# HELP hgserved_jobs_finished_total Jobs reaching a terminal state.")
-	fmt.Fprintln(w, "# TYPE hgserved_jobs_finished_total counter")
-	for _, k := range stateKeys {
-		fmt.Fprintf(w, "hgserved_jobs_finished_total{state=%q} %d\n", k, finished[k])
-	}
-
-	fmt.Fprintln(w, "# HELP hgserved_watchdog_kicks_total Stalled runs cancelled by the progress watchdog.")
-	fmt.Fprintln(w, "# TYPE hgserved_watchdog_kicks_total counter")
-	fmt.Fprintf(w, "hgserved_watchdog_kicks_total %d\n", kicks)
-
-	fmt.Fprintln(w, "# HELP hgserved_jobs_requeued_total Stuck jobs requeued by the watchdog for another attempt.")
-	fmt.Fprintln(w, "# TYPE hgserved_jobs_requeued_total counter")
-	fmt.Fprintf(w, "hgserved_jobs_requeued_total %d\n", requeued)
-
-	fmt.Fprintln(w, "# HELP hgserved_queue_depth Jobs waiting in the priority queue.")
-	fmt.Fprintln(w, "# TYPE hgserved_queue_depth gauge")
-	fmt.Fprintf(w, "hgserved_queue_depth %d\n", g.QueueDepth)
-
-	fmt.Fprintln(w, "# HELP hgserved_running_jobs Jobs currently executing.")
-	fmt.Fprintln(w, "# TYPE hgserved_running_jobs gauge")
-	fmt.Fprintf(w, "hgserved_running_jobs %d\n", g.Running)
-
-	fmt.Fprintln(w, "# HELP hgserved_ready Whether the service accepts new work (drain flips to 0).")
-	fmt.Fprintln(w, "# TYPE hgserved_ready gauge")
-	ready := 0
+	ready := int64(0)
 	if g.Ready {
 		ready = 1
 	}
-	fmt.Fprintf(w, "hgserved_ready %d\n", ready)
-
-	fmt.Fprintln(w, "# HELP hgserved_cache_hits_total Result-cache hits.")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_hits_total counter")
-	fmt.Fprintf(w, "hgserved_cache_hits_total %d\n", g.Cache.Hits)
-	fmt.Fprintln(w, "# HELP hgserved_cache_misses_total Result-cache misses (one per computed report).")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_misses_total counter")
-	fmt.Fprintf(w, "hgserved_cache_misses_total %d\n", g.Cache.Misses)
-	fmt.Fprintln(w, "# HELP hgserved_cache_coalesced_total Requests coalesced onto an in-flight identical job.")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_coalesced_total counter")
-	fmt.Fprintf(w, "hgserved_cache_coalesced_total %d\n", g.Cache.Coalesced)
-	fmt.Fprintln(w, "# HELP hgserved_cache_evictions_total LRU evictions from the result cache.")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_evictions_total counter")
-	fmt.Fprintf(w, "hgserved_cache_evictions_total %d\n", g.Cache.Evictions)
-	fmt.Fprintln(w, "# HELP hgserved_cache_entries Result-cache resident entries.")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_entries gauge")
-	fmt.Fprintf(w, "hgserved_cache_entries %d\n", g.Cache.Entries)
-	fmt.Fprintln(w, "# HELP hgserved_cache_bytes Result-cache resident body bytes.")
-	fmt.Fprintln(w, "# TYPE hgserved_cache_bytes gauge")
-	fmt.Fprintf(w, "hgserved_cache_bytes %d\n", g.Cache.Bytes)
-
-	fmt.Fprintln(w, "# HELP hgserved_peer_cache_hits_total Reports served from a sibling worker's cache.")
-	fmt.Fprintln(w, "# TYPE hgserved_peer_cache_hits_total counter")
-	fmt.Fprintf(w, "hgserved_peer_cache_hits_total %d\n", peerHits)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_dispatches_total Job dispatch RPCs sent to workers.")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_dispatches_total counter")
-	fmt.Fprintf(w, "hgserved_cluster_dispatches_total %d\n", dispatches)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_failovers_total Jobs reassigned off a dead worker.")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_failovers_total counter")
-	fmt.Fprintf(w, "hgserved_cluster_failovers_total %d\n", failovers)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_steals_total Queued jobs stolen by idle workers.")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_steals_total counter")
-	fmt.Fprintf(w, "hgserved_cluster_steals_total %d\n", steals)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_local_fallbacks_total Jobs degraded to a local compute (no healthy workers).")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_local_fallbacks_total counter")
-	fmt.Fprintf(w, "hgserved_cluster_local_fallbacks_total %d\n", localFallbacks)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_workers Configured cluster workers (coordinator mode).")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_workers gauge")
-	fmt.Fprintf(w, "hgserved_cluster_workers %d\n", g.ClusterWorkers)
-
-	fmt.Fprintln(w, "# HELP hgserved_cluster_workers_healthy Workers currently passing heartbeats.")
-	fmt.Fprintln(w, "# TYPE hgserved_cluster_workers_healthy gauge")
-	fmt.Fprintf(w, "hgserved_cluster_workers_healthy %d\n", g.ClusterHealthy)
-
-	fmt.Fprintln(w, "# HELP hgserved_net_faults_injected_total Faults injected by the chaos net transport, by fault kind.")
-	fmt.Fprintln(w, "# TYPE hgserved_net_faults_injected_total counter")
-	for _, k := range faultKeys {
-		fmt.Fprintf(w, "hgserved_net_faults_injected_total{fault=%q} %d\n", k, netFaults[k])
+	breakers := newFamily("gauge", "hgserved_breaker_state", "Per-worker circuit breaker state (0 closed, 1 half-open, 2 open).", "worker")
+	for addr, state := range g.Breakers {
+		breakers.add(int64(state), addr)
 	}
 
-	fmt.Fprintln(w, "# HELP hgserved_integrity_failures_total Internal responses failing the sha256 body envelope, by source.")
-	fmt.Fprintln(w, "# TYPE hgserved_integrity_failures_total counter")
-	for _, k := range integrityKeys {
-		fmt.Fprintf(w, "hgserved_integrity_failures_total{source=%q} %d\n", k, integrityFailures[k])
+	var b bytes.Buffer
+	for _, f := range []*family{
+		m.requests, m.submitted, m.finished, m.watchdogKicks, m.requeued,
+		scraped("gauge", "hgserved_queue_depth", "Jobs waiting in the priority queue.", int64(g.QueueDepth)),
+		scraped("gauge", "hgserved_running_jobs", "Jobs currently executing.", int64(g.Running)),
+		scraped("gauge", "hgserved_ready", "Whether the service accepts new work (drain flips to 0).", ready),
+		scraped("counter", "hgserved_cache_hits_total", "Result-cache hits.", g.Cache.Hits),
+		scraped("counter", "hgserved_cache_misses_total", "Result-cache misses (one per computed report).", g.Cache.Misses),
+		scraped("counter", "hgserved_cache_coalesced_total", "Requests coalesced onto an in-flight identical job.", g.Cache.Coalesced),
+		scraped("counter", "hgserved_cache_evictions_total", "LRU evictions from the result cache.", g.Cache.Evictions),
+		scraped("gauge", "hgserved_cache_entries", "Result-cache resident entries.", int64(g.Cache.Entries)),
+		scraped("gauge", "hgserved_cache_bytes", "Result-cache resident body bytes.", g.Cache.Bytes),
+		m.peerHits, m.dispatches, m.failovers, m.steals, m.localFallbacks,
+		scraped("gauge", "hgserved_cluster_workers", "Configured cluster workers (coordinator mode).", int64(g.ClusterWorkers)),
+		scraped("gauge", "hgserved_cluster_workers_healthy", "Workers currently passing heartbeats.", int64(g.ClusterHealthy)),
+		m.netFaults, m.integrityFailures, breakers, m.deadlineAbandons,
+		m.portfolioRaces, m.portfolioWins, m.workUnits,
+	} {
+		f.write(&b)
 	}
 
-	fmt.Fprintln(w, "# HELP hgserved_breaker_state Per-worker circuit breaker state (0 closed, 1 half-open, 2 open).")
-	fmt.Fprintln(w, "# TYPE hgserved_breaker_state gauge")
-	breakerKeys := make([]string, 0, len(g.Breakers))
-	for k := range g.Breakers {
-		breakerKeys = append(breakerKeys, k)
-	}
-	sort.Strings(breakerKeys)
-	for _, k := range breakerKeys {
-		fmt.Fprintf(w, "hgserved_breaker_state{worker=%q} %d\n", k, g.Breakers[k])
-	}
-
-	fmt.Fprintln(w, "# HELP hgserved_deadline_abandons_total Jobs abandoned because the coordinator's propagated deadline passed.")
-	fmt.Fprintln(w, "# TYPE hgserved_deadline_abandons_total counter")
-	fmt.Fprintf(w, "hgserved_deadline_abandons_total %d\n", deadlineAbandons)
-
-	fmt.Fprintln(w, "# HELP hgserved_portfolio_races_total Portfolio-mode races run.")
-	fmt.Fprintln(w, "# TYPE hgserved_portfolio_races_total counter")
-	fmt.Fprintf(w, "hgserved_portfolio_races_total %d\n", portfolioRaces)
-
-	fmt.Fprintln(w, "# HELP hgserved_portfolio_arm_wins_total Race wins by feature bucket and arm.")
-	fmt.Fprintln(w, "# TYPE hgserved_portfolio_arm_wins_total counter")
-	for _, k := range winKeys {
-		fmt.Fprintf(w, "hgserved_portfolio_arm_wins_total{bucket=%q,arm=%q} %d\n", k.bucket, k.arm, wins[k])
-	}
-
-	fmt.Fprintln(w, "# HELP hgserved_work_units_total Deterministic FM work units executed.")
-	fmt.Fprintln(w, "# TYPE hgserved_work_units_total counter")
-	fmt.Fprintf(w, "hgserved_work_units_total %d\n", workUnits)
-
-	fmt.Fprintln(w, "# HELP hgserved_ns_per_work_unit Wall nanoseconds per deterministic work unit, recent-window quantiles.")
-	fmt.Fprintln(w, "# TYPE hgserved_ns_per_work_unit summary")
-	qs := m.nsPerWork.Quantiles(0.5, 0.9, 0.99)
-	labels := []string{"0.5", "0.9", "0.99"}
-	for i, q := range qs {
-		if math.IsNaN(q) {
-			continue
+	b.WriteString("# HELP hgserved_ns_per_work_unit Wall nanoseconds per deterministic work unit, recent-window quantiles.\n")
+	b.WriteString("# TYPE hgserved_ns_per_work_unit summary\n")
+	qs := []float64{0.5, 0.9, 0.99}
+	for i, v := range m.nsPerWork.Quantiles(qs...) {
+		if !math.IsNaN(v) {
+			fmt.Fprintf(&b, "hgserved_ns_per_work_unit{quantile=\"%g\"} %g\n", qs[i], v)
 		}
-		fmt.Fprintf(w, "hgserved_ns_per_work_unit{quantile=%q} %g\n", labels[i], q)
 	}
-	fmt.Fprintf(w, "hgserved_ns_per_work_unit_count %d\n", m.nsPerWork.Count())
+	fmt.Fprintf(&b, "hgserved_ns_per_work_unit_count %d\n", m.nsPerWork.Count())
+	w.Write(b.Bytes())
 }

@@ -2,8 +2,12 @@ package service_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +20,7 @@ import (
 // reads the wrong counter shows up as a wrong value. Regenerate with
 // UPDATE_GOLDEN=1 go test -run TestMetricsRenderGolden ./internal/service.
 func TestMetricsRenderGolden(t *testing.T) {
-	m := service.NewMetrics(16)
+	m := service.NewMetrics()
 	repeat := func(n int, f func()) {
 		for i := 0; i < n; i++ {
 			f()
@@ -74,5 +78,96 @@ func TestMetricsRenderGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("/metrics exposition drifted from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// TestMetricsConcurrentRender calls every mutator from 8 goroutines while
+// another goroutine renders in a loop. The final exposition must show the
+// exact totals: equal to a single goroutine making the same calls, with the
+// per-series counts spelled out.
+func TestMetricsConcurrentRender(t *testing.T) {
+	const goroutines, rounds = 8, 250
+	exercise := func(m *service.Metrics) {
+		m.ObserveRequest("partition", 200)
+		m.ObserveRequest("jobs", 404)
+		m.JobSubmitted()
+		m.JobFinished(service.JobDone)
+		m.WatchdogKick()
+		m.JobRequeued()
+		m.PeerHit()
+		m.ClusterDispatch()
+		m.ClusterFailover()
+		m.ClusterSteal()
+		m.ClusterLocalFallback()
+		m.NetFaultInjected("refused")
+		m.IntegrityFailure("peer")
+		m.DeadlineAbandon()
+		m.PortfolioRace("s0.n0.k2.g1", "ml-strong")
+		m.ObserveRun(2*time.Millisecond, 1000)
+	}
+	gauges := service.GaugeSnapshot{Ready: true, Breakers: map[string]int{"w1:9001": 1}}
+
+	m := service.NewMetrics()
+	stop, rendered := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rendered)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Render(io.Discard, gauges)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				exercise(m)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-rendered
+
+	seq := service.NewMetrics()
+	for i := 0; i < goroutines*rounds; i++ {
+		exercise(seq)
+	}
+	var got, want bytes.Buffer
+	m.Render(&got, gauges)
+	seq.Render(&want, gauges)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("concurrent totals differ from sequential ones:\ngot:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+	n := goroutines * rounds
+	for _, line := range []string{
+		fmt.Sprintf(`hgserved_requests_total{route="jobs",code="404"} %d`, n),
+		fmt.Sprintf(`hgserved_requests_total{route="partition",code="200"} %d`, n),
+		fmt.Sprintf("hgserved_jobs_submitted_total %d", n),
+		fmt.Sprintf(`hgserved_jobs_finished_total{state="done"} %d`, n),
+		fmt.Sprintf("hgserved_watchdog_kicks_total %d", n),
+		fmt.Sprintf("hgserved_jobs_requeued_total %d", n),
+		fmt.Sprintf("hgserved_peer_cache_hits_total %d", n),
+		fmt.Sprintf("hgserved_cluster_dispatches_total %d", n),
+		fmt.Sprintf("hgserved_cluster_failovers_total %d", n),
+		fmt.Sprintf("hgserved_cluster_steals_total %d", n),
+		fmt.Sprintf("hgserved_cluster_local_fallbacks_total %d", n),
+		fmt.Sprintf(`hgserved_net_faults_injected_total{fault="refused"} %d`, n),
+		fmt.Sprintf(`hgserved_integrity_failures_total{source="peer"} %d`, n),
+		fmt.Sprintf("hgserved_deadline_abandons_total %d", n),
+		fmt.Sprintf("hgserved_portfolio_races_total %d", n),
+		fmt.Sprintf(`hgserved_portfolio_arm_wins_total{bucket="s0.n0.k2.g1",arm="ml-strong"} %d`, n),
+		fmt.Sprintf("hgserved_work_units_total %d", 1000*n),
+		`hgserved_ns_per_work_unit{quantile="0.5"} 2000`,
+		fmt.Sprintf("hgserved_ns_per_work_unit_count %d", n),
+	} {
+		if !strings.Contains(got.String(), line+"\n") {
+			t.Errorf("exposition missing %q", line)
+		}
 	}
 }

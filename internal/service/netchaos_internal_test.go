@@ -1,8 +1,7 @@
 package service
 
 // In-package tests for the DESIGN.md §16 plumbing that has no public seam:
-// the peer probe's body bound, the integrity/deadline header helpers, and
-// the exact Prometheus lines the new counters render.
+// the peer probe's body bound and the integrity/deadline header helpers.
 
 import (
 	"bytes"
@@ -30,7 +29,7 @@ func peerServing(t *testing.T, body []byte, maxBody int64) *PeerSet {
 	}))
 	t.Cleanup(peer.Close)
 	p := NewPeerSet([]string{strings.TrimPrefix(peer.URL, "http://")},
-		time.Second, nil, NewMetrics(8), discardLogger())
+		time.Second, nil, NewMetrics(), discardLogger())
 	p.maxBody = maxBody
 	return p
 }
@@ -80,37 +79,5 @@ func TestParseDeadlineHeader(t *testing.T) {
 	h.Set(deadlineHeader, "soon")
 	if _, _, err := parseDeadline(h); err == nil || !strings.Contains(err.Error(), "unix milliseconds") {
 		t.Fatalf("malformed header error %v should name the expected format", err)
-	}
-}
-
-// The metrics-surface satellite: every new series renders with its exact
-// name, labels sorted, including the per-worker breaker gauge.
-func TestMetricsRenderNetChaosSurface(t *testing.T) {
-	m := NewMetrics(8)
-	m.NetFaultInjected("refused")
-	m.NetFaultInjected("refused")
-	m.NetFaultInjected("corrupt")
-	m.IntegrityFailure("peer")
-	m.IntegrityFailure("dispatch")
-	m.DeadlineAbandon()
-
-	var buf bytes.Buffer
-	m.Render(&buf, GaugeSnapshot{Breakers: map[string]int{"w2:9001": 2, "w1:9001": 0}})
-	out := buf.String()
-	for _, want := range []string{
-		`hgserved_net_faults_injected_total{fault="corrupt"} 1`,
-		`hgserved_net_faults_injected_total{fault="refused"} 2`,
-		`hgserved_integrity_failures_total{source="dispatch"} 1`,
-		`hgserved_integrity_failures_total{source="peer"} 1`,
-		`hgserved_breaker_state{worker="w1:9001"} 0`,
-		`hgserved_breaker_state{worker="w2:9001"} 2`,
-		"hgserved_deadline_abandons_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, `worker="w1:9001"`) > strings.Index(out, `worker="w2:9001"`) {
-		t.Fatal("breaker gauge labels must render in sorted order")
 	}
 }

@@ -65,8 +65,6 @@ type Config struct {
 	// queued. 0 disables the respective cap.
 	MaxVertices int
 	MaxPins     int
-	// MetricsWindow bounds the ns/work-unit quantile sampler.
-	MetricsWindow int
 	// StuckAfter is how long a running job may go without work progress (no
 	// start beginning or finishing) before the watchdog cancels it for
 	// requeue; <= 0 disables the watchdog.
@@ -123,7 +121,6 @@ func DefaultConfig() Config {
 		MaxBodyBytes:     64 << 20,
 		MaxVertices:      2_000_000,
 		MaxPins:          20_000_000,
-		MetricsWindow:    1024,
 		StuckAfter:       2 * time.Minute,
 		WatchdogInterval: 5 * time.Second,
 		MaxRequeues:      1,
@@ -154,9 +151,6 @@ func New(cfg Config) *Server {
 	if cfg.StartWorkers < 1 {
 		cfg.StartWorkers = 1
 	}
-	if cfg.MetricsWindow < 1 {
-		cfg.MetricsWindow = 1024
-	}
 	if cfg.WatchdogInterval <= 0 {
 		cfg.WatchdogInterval = 5 * time.Second
 	}
@@ -174,7 +168,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		log:     log,
 		cache:   NewCache(cfg.CacheEntries, cfg.CacheBytes),
-		metrics: NewMetrics(cfg.MetricsWindow),
+		metrics: NewMetrics(),
 	}
 	s.manager = newManager(cfg, s.cache, s.metrics, log)
 	// A chaos transport reports each injected fault into /metrics; wire the
