@@ -41,6 +41,30 @@ func TestExitCodeUsage(t *testing.T) {
 			t.Errorf("hgpart %v: exit %d, want 2\n%s", args, code, out)
 		}
 	}
+	// Out-of-range counts and durations, and an engine name on the k-way
+	// path that never consults it, fail before the instance loads, with an
+	// error naming the flag.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-k", []string{"-k", "1"}},
+		{"-k", []string{"-k", "0"}},
+		{"-k", []string{"-k", "-3"}},
+		{"-vcycles", []string{"-vcycles", "-1"}},
+		{"-retries", []string{"-retries", "-1"}},
+		{"-workers", []string{"-workers", "-2"}},
+		{"-timeout", []string{"-timeout", "-1s"}},
+		{"-engine", []string{"-k", "3", "-engine", "bogus"}},
+	} {
+		args := append([]string{"-ibm", "1", "-scale", "0.02", "-q"}, c.args...)
+		code, out := runForExit(t, args...)
+		if code != 2 {
+			t.Errorf("hgpart %v: exit %d, want 2\n%s", args, code, out)
+		} else if !strings.Contains(out, c.flag+" ") {
+			t.Errorf("hgpart %v: error %q does not name %s", args, out, c.flag)
+		}
+	}
 }
 
 func TestExitCodeParseError(t *testing.T) {

@@ -85,6 +85,33 @@ func main() {
 	if *starts < 1 {
 		fatalUsage(fmt.Errorf("-starts %d must be >= 1", *starts))
 	}
+	if *k < 2 {
+		fatalUsage(fmt.Errorf("-k %d must be >= 2", *k))
+	}
+	if *vcycles < 0 {
+		fatalUsage(fmt.Errorf("-vcycles %d must be >= 0", *vcycles))
+	}
+	if *retries < 0 {
+		fatalUsage(fmt.Errorf("-retries %d must be >= 0", *retries))
+	}
+	if *workers < 0 {
+		fatalUsage(fmt.Errorf("-workers %d must be >= 0 (0 = GOMAXPROCS)", *workers))
+	}
+	if *timeout < 0 {
+		fatalUsage(fmt.Errorf("-timeout %v must be >= 0 (0 = no budget)", *timeout))
+	}
+	var kind hgpart.EngineKind
+	switch *engine {
+	case "ml":
+		kind = hgpart.EngineML
+	case "flat":
+		kind = hgpart.EngineFlatFM
+	case "clip":
+		kind = hgpart.EngineFlatCLIP
+	case "spectral": // no FM engine kind: SpectralBisect runs below
+	default:
+		fatalUsage(fmt.Errorf("-engine %q must be ml, flat, clip or spectral", *engine))
+	}
 	if *resume && *checkpoint == "" {
 		fatalUsage(fmt.Errorf("-resume requires -checkpoint <file>"))
 	}
@@ -145,18 +172,6 @@ func main() {
 	if *traceTo != "" && (*engine == "flat" || *engine == "clip") {
 		runTraced(h, bal, *engine, *traceTo, *seed, reference, *outPath)
 		return
-	}
-
-	var kind hgpart.EngineKind
-	switch *engine {
-	case "ml":
-		kind = hgpart.EngineML
-	case "flat":
-		kind = hgpart.EngineFlatFM
-	case "clip":
-		kind = hgpart.EngineFlatCLIP
-	default:
-		fatalUsage(fmt.Errorf("unknown engine %q (ml, flat, clip, spectral)", *engine))
 	}
 
 	if *timeout > 0 || *workers != 0 || *checkpoint != "" || *retries > 0 || *checkInv {

@@ -62,16 +62,23 @@ type Engine struct {
 	// truth for side assignment, per-net side pin counts, side areas and the
 	// running cut. Owning the state lets one sweep per move update counts,
 	// cut and neighbor gains together (the seed pays two sweeps: p.Move plus
-	// the per-net gain updates), makes rollback a byte flip per move instead
-	// of a full counted move, and turns every mid-pass p.Cut/p.Legal/
-	// p.MoveLegal call into a local read. The mirror is loaded from p at Run
-	// start and written back with one p.Assign per Run (per pass in debug
-	// mode, so invariant checks see a synchronized partition).
-	side        []uint8
-	cnt         [][2]int32
-	area        [2]int64
-	cut         int64
-	mirrorDirty bool // counts/cut/areas stale (bulk rollback); sides are always valid
+	// the per-net gain updates), and turns every mid-pass p.Cut/p.Legal/
+	// p.MoveLegal call into a local read. The mirror is copied in from p at
+	// Run start and copied back with one p.Load per Run (per pass in debug
+	// mode, so invariant checks see a synchronized partition); neither end
+	// sweeps the pins, so the incremental counts and cut are what p ends up
+	// holding and what VerifyPartitionState cross-checks.
+	side []uint8
+	cnt  [][2]int32
+	area [2]int64
+	cut  int64
+
+	// Pass-start snapshot of the derived mirror state, the restore point of
+	// the replay rollback route (see rollback). snapCnt is an arena sized
+	// with cnt.
+	snapCnt  [][2]int32
+	snapArea [2]int64
+	snapCut  int64
 
 	// Krishnamurthy lookahead state (allocated when LookaheadDepth >= 2).
 	immobile [][2]int32 // per net: locked/excluded pins by side
@@ -115,6 +122,7 @@ func NewEngine(h *hypergraph.Hypergraph, cfg Config, bal partition.Balance, r *r
 		e.cont = gain.NewContainer(h.NumVertices(), containerMaxKey(h, cfg), containerOrder(cfg), r)
 		e.side = make([]uint8, h.NumVertices())
 		e.cnt = make([][2]int32, h.NumEdges())
+		e.snapCnt = make([][2]int32, h.NumEdges())
 	}
 	return e
 }
@@ -140,22 +148,20 @@ func (e *Engine) Rebind(h *hypergraph.Hypergraph, bal partition.Balance, r *rng.
 		e.refCont = gain.NewLegacyContainer(h.NumVertices(), containerMaxKey(h, e.cfg), containerOrder(e.cfg), e.r)
 	} else {
 		e.cont.Reinit(h.NumVertices(), containerMaxKey(h, e.cfg), containerOrder(e.cfg), e.r)
-		if cap(e.side) < h.NumVertices() {
-			e.side = make([]uint8, h.NumVertices())
-		} else {
-			e.side = e.side[:h.NumVertices()]
-		}
-		if cap(e.cnt) < h.NumEdges() {
-			e.cnt = make([][2]int32, h.NumEdges())
-		} else {
-			e.cnt = e.cnt[:h.NumEdges()]
-		}
+		e.side = resize(e.side, h.NumVertices())
+		e.cnt = resize(e.cnt, h.NumEdges())
+		e.snapCnt = resize(e.snapCnt, h.NumEdges())
 	}
-	if cap(e.locked) < h.NumVertices() {
-		e.locked = make([]bool, h.NumVertices())
-	} else {
-		e.locked = e.locked[:h.NumVertices()]
+	e.locked = resize(e.locked, h.NumVertices())
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Callers overwrite every element before reading it.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // containerMaxKey is the gain-key magnitude bound the container must cover.
@@ -208,9 +214,7 @@ func (e *Engine) RunPruned(p *partition.P, keepGoing func(pass int, cut int64) b
 	e.corks = 0
 	reference := e.cfg.ReferenceImpl
 	if !reference {
-		e.mirrorInit(p)
-		e.rebuildMirror()
-		e.mirrorDirty = false
+		e.loadMirror(p)
 	}
 	synced := reference
 	for {
@@ -262,41 +266,23 @@ func (e *Engine) RunPruned(p *partition.P, keepGoing func(pass int, cut int64) b
 	return res
 }
 
-// mirrorInit loads the current side assignment from p; rebuildMirror then
-// derives counts, areas and cut from it.
-func (e *Engine) mirrorInit(p *partition.P) {
+// loadMirror copies p's state into the mirror: sides, per-net counts,
+// areas and cut. p maintains all of them incrementally, so nothing is
+// recounted.
+func (e *Engine) loadMirror(p *partition.P) {
 	for v := range e.side {
 		e.side[v] = p.Side(int32(v))
 	}
+	copy(e.cnt, p.Counts())
+	e.area = [2]int64{p.Area(0), p.Area(1)}
+	e.cut = p.Cut()
 }
 
-// rebuildMirror recomputes the derived mirror state (per-net counts, areas,
-// cut) from the mirror side vector — the same O(vertices + pins) recount
-// p.Assign performs, run once per Run against arena storage; passes keep the
-// mirror valid incrementally (applyMove forward, unmove on rollback).
-func (e *Engine) rebuildMirror() {
-	e.area = [2]int64{}
-	for v := range e.side {
-		e.area[e.side[v]] += e.h.VertexWeight(int32(v))
-	}
-	e.cut = 0
-	for ei := range e.cnt {
-		var c [2]int32
-		for _, v := range e.h.Pins(int32(ei)) {
-			c[e.side[v]]++
-		}
-		e.cnt[ei] = c
-		if c[0] > 0 && c[1] > 0 {
-			e.cut += e.h.EdgeWeight(int32(ei))
-		}
-	}
-}
-
-// syncPartition writes the mirror's side vector back into p, which rebuilds
-// its own derived state. The mirror only ever makes legal FM moves of
-// non-fixed vertices, so Assign cannot fail.
+// syncPartition copies the mirror back into p with one p.Load. The mirror
+// only ever makes legal FM moves of non-fixed vertices, so Load cannot
+// fail.
 func (e *Engine) syncPartition(p *partition.P) {
-	if err := p.Assign(e.side); err != nil {
+	if err := p.Load(e.side, e.cnt, e.area, e.cut); err != nil {
 		panic("core: mirror sync rejected: " + err.Error())
 	}
 }
@@ -347,10 +333,9 @@ func (e *Engine) mirrorGain(v int32) int64 {
 //
 //hglint:hotpath
 func (e *Engine) pass(p *partition.P, passNo int) (improved bool, moves int64, stuck bool, curCut int64) {
-	if e.mirrorDirty {
-		e.rebuildMirror()
-		e.mirrorDirty = false
-	}
+	copy(e.snapCnt, e.cnt)
+	e.snapArea = e.area
+	e.snapCut = e.cut
 	e.cont.Clear()
 	clear(e.locked)
 	e.moveStack = e.moveStack[:0]
@@ -450,24 +435,7 @@ func (e *Engine) pass(p *partition.P, passNo int) (improved bool, moves int64, s
 		}
 	}
 
-	// Roll back moves made after the best prefix. A short suffix is reversed
-	// incrementally (unmove repairs counts, cut and areas as it goes); a long
-	// one — common when a pass moves every vertex and keeps a small prefix —
-	// just flips the side bytes back and leaves the derived state to one
-	// recount at the next pass. Either way the seed pays more: a fully
-	// counted p.Move per rolled move.
-	rolled := len(e.moveStack) - 1 - bestIdx
-	if rolled <= e.h.NumVertices()/4 {
-		for i := len(e.moveStack) - 1; i > bestIdx; i-- {
-			e.unmove(e.moveStack[i])
-		}
-	} else {
-		for i := len(e.moveStack) - 1; i > bestIdx; i-- {
-			u := e.moveStack[i]
-			e.side[u] = 1 - e.side[u]
-		}
-		e.mirrorDirty = true
-	}
+	e.rollback(bestIdx)
 	curCut = startCut
 	if bestIdx >= 0 {
 		curCut = bestCut
@@ -480,6 +448,39 @@ func (e *Engine) pass(p *partition.P, passNo int) (improved bool, moves int64, s
 		return bestLegal, moves, stuck, curCut // legalizing counts as improvement
 	}
 	return bestLegal && bestCut < startCut, moves, stuck, curCut
+}
+
+// rollback returns the mirror to the pass's best prefix, the first
+// bestIdx+1 moves of the move stack (none when bestIdx is -1), by the
+// cheaper of two exact routes. A suffix no longer than the kept prefix is
+// undone move by move with unmove. Otherwise — common when a pass moves
+// every vertex and keeps a short prefix — every moved vertex flips back to
+// its pass-start side (each moves at most once per pass), the pass-start
+// counts, areas and cut are restored from the snapshot, and the kept prefix
+// is replayed with unmove. Both routes do integer bookkeeping only, so they
+// leave bit-identical state. Either way the unmoves cover only the shorter
+// of the two halves; the replay adds a byte flip per move and one copy of
+// the counts.
+//
+//hglint:hotpath
+func (e *Engine) rollback(bestIdx int) {
+	kept := e.moveStack[:bestIdx+1]
+	undone := e.moveStack[bestIdx+1:]
+	if len(undone) <= len(kept) {
+		for i := len(undone) - 1; i >= 0; i-- {
+			e.unmove(undone[i])
+		}
+		return
+	}
+	for _, u := range e.moveStack {
+		e.side[u] = 1 - e.side[u]
+	}
+	copy(e.cnt, e.snapCnt)
+	e.area = e.snapArea
+	e.cut = e.snapCut
+	for _, u := range kept {
+		e.unmove(u)
+	}
 }
 
 // selectMove picks the next move per the paper's selection discipline: each
@@ -636,10 +637,12 @@ func (e *Engine) applyMove(v int32) {
 	e.area[to] += w
 }
 
-// unmove reverses a move during rollback: counts, cut, areas and side are
-// restored with one sweep; no gain bookkeeping is needed because the pass is
-// over. This is what keeps the mirror valid across passes — the seed pays a
-// fully counted p.Move per rolled move plus per-pass recounts.
+// unmove flips v in the mirror without gain bookkeeping, repairing counts,
+// cut, areas and side with one sweep over its incident nets. Rollback uses
+// it both to undo a move and to replay one onto the pass-start snapshot;
+// no gains are needed either way because the pass is over. This is what
+// keeps the mirror valid across passes — the seed pays a fully counted
+// p.Move per rolled move plus per-pass recounts.
 //
 //hglint:hotpath
 func (e *Engine) unmove(v int32) {

@@ -85,8 +85,7 @@ func TestGainLevelsAgainstHandComputation(t *testing.T) {
 	if err := p.Assign([]uint8{0, 0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng.mirrorInit(p)
-	eng.rebuildMirror()
+	eng.loadMirror(p)
 	eng.resetImmobile(p)
 	vec := eng.gainLevels(1, 3, nil)
 	if len(vec) != 2 {
@@ -116,8 +115,7 @@ func TestGainLevelsRespectLockedPins(t *testing.T) {
 	if err := p.Assign([]uint8{0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng.mirrorInit(p)
-	eng.rebuildMirror()
+	eng.loadMirror(p)
 	eng.resetImmobile(p)
 	// Without locks, for v0 (side 0 -> 1) on net {0,1,2}:
 	// src: freeSrcOthers=1 -> +1 at level 2; dst: freeDst=1 -> -1 at level
@@ -129,8 +127,7 @@ func TestGainLevelsRespectLockedPins(t *testing.T) {
 	// Fix v1 on side 0: the source side now has a locked pin, so the +1
 	// source term disappears and only the -1 destination term remains.
 	p.Fix(1, 0)
-	eng.mirrorInit(p)
-	eng.rebuildMirror()
+	eng.loadMirror(p)
 	eng.resetImmobile(p)
 	vec = eng.gainLevels(0, 3, nil)
 	if vec[0] != -1 {

@@ -47,6 +47,19 @@ func referenceBuild(name string, vertexWeights, edgeWeights []int64, pins [][]in
 	return h
 }
 
+// hashPins is the FNV-1a hash over a sorted pin list that the earlier
+// Contract keyed its parallel-net map with.
+func hashPins(pins []int32) uint64 {
+	var hsh uint64 = 1469598103934665603
+	for _, p := range pins {
+		for i := 0; i < 4; i++ {
+			hsh ^= uint64(byte(p >> (8 * i)))
+			hsh *= 1099511628211
+		}
+	}
+	return hsh
+}
+
 // referenceContract is the earlier Hypergraph.Contract.
 func referenceContract(h *Hypergraph, clusterOf []int32, numClusters int) (*Hypergraph, []int32) {
 	coarse := &Hypergraph{Name: h.Name}
@@ -194,6 +207,27 @@ func TestContractMatchesReference(t *testing.T) {
 		want, wantRep := referenceContract(h, clusterOf, k)
 		return sameHypergraph(got, want) && slices.Equal(gotRep, wantRep)
 	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContractMatchesReferenceHeavyMerge contracts larger instances onto
+// three clusters: nearly every net projects onto one of the four coarse
+// nets a 3-cluster map allows, so the parallel-net table sees long runs of
+// merges and every lookup lands on an occupied slot.
+func TestContractMatchesReferenceHeavyMerge(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		h := randomHypergraph(seed, 300, 900)
+		r := rng.New(seed ^ 5)
+		clusterOf := make([]int32, h.NumVertices())
+		for v := range clusterOf {
+			clusterOf[v] = int32(r.Intn(3))
+		}
+		got, gotRep := h.Contract(clusterOf, 3)
+		want, wantRep := referenceContract(h, clusterOf, 3)
+		return sameHypergraph(got, want) && slices.Equal(gotRep, wantRep) &&
+			got.NumEdges() <= 4
+	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

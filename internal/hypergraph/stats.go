@@ -127,15 +127,26 @@ func (h *Hypergraph) Contract(clusterOf []int32, numClusters int) (*Hypergraph, 
 		coarse.vertexWeight[c] += h.vertexWeight[v]
 	}
 
-	// Coarse nets are appended to the CSR arrays in first-appearance order;
-	// identical projected nets are found by hashing their sorted pin lists.
-	coarse.eptr = append(make([]int32, 0, h.NumEdges()+1), 0)
+	// Coarse nets are appended to the CSR arrays in first-appearance order.
+	// Identical projected nets are found through an open-addressed table of
+	// coarse net ids (power-of-two size, at most half full, linear probing)
+	// keyed by a fingerprint of the sorted pin list; a fingerprint match is
+	// confirmed by comparing the pin lists themselves. The fingerprint only
+	// decides which candidates are compared, never the net order.
+	ne := h.NumEdges()
+	coarse.eptr = append(make([]int32, 0, ne+1), 0)
+	coarse.edgeWeight = make([]int64, 0, ne)
 	eind := make([]int32, 0, h.NumPins())
-	var repOf []int32
-	byHash := make(map[uint64][]int32, h.NumEdges())
-	scratch := make([]int32, 0, 64)
+	repOf := make([]int32, 0, ne)
+	fp := make([]uint64, 0, ne)
+	slots := make([]int32, tableSize(ne))
+	for i := range slots {
+		slots[i] = -1
+	}
+	mask := uint64(len(slots) - 1)
+	scratch := make([]int32, 0, max(64, h.MaxEdgeSize()))
 
-	for e := 0; e < h.NumEdges(); e++ {
+	for e := 0; e < ne; e++ {
 		scratch = scratch[:0]
 		for _, v := range h.Pins(int32(e)) {
 			scratch = append(scratch, clusterOf[v])
@@ -144,22 +155,24 @@ func (h *Hypergraph) Contract(clusterOf []int32, numClusters int) (*Hypergraph, 
 		if len(uniq) < 2 {
 			continue
 		}
-		hsh := hashPins(uniq)
-		merged := false
-		for _, ce := range byHash[hsh] {
-			if slices.Equal(eind[coarse.eptr[ce]:coarse.eptr[ce+1]], uniq) {
+		hsh := fingerprint(uniq)
+		i := hsh & mask
+		for ; slots[i] >= 0; i = (i + 1) & mask {
+			ce := slots[i]
+			if fp[ce] == hsh && slices.Equal(eind[coarse.eptr[ce]:coarse.eptr[ce+1]], uniq) {
 				coarse.edgeWeight[ce] += h.edgeWeight[e]
-				merged = true
 				break
 			}
 		}
-		if !merged {
-			byHash[hsh] = append(byHash[hsh], int32(len(coarse.edgeWeight)))
-			eind = append(eind, uniq...)
-			coarse.eptr = append(coarse.eptr, int32(len(eind)))
-			coarse.edgeWeight = append(coarse.edgeWeight, h.edgeWeight[e])
-			repOf = append(repOf, int32(e))
+		if slots[i] >= 0 {
+			continue // merged into a parallel net
 		}
+		slots[i] = int32(len(coarse.edgeWeight))
+		fp = append(fp, hsh)
+		eind = append(eind, uniq...)
+		coarse.eptr = append(coarse.eptr, int32(len(eind)))
+		coarse.edgeWeight = append(coarse.edgeWeight, h.edgeWeight[e])
+		repOf = append(repOf, int32(e))
 	}
 	// Trim the pin array, sized for the fine graph, to what it holds.
 	coarse.eind = slices.Clone(eind)
@@ -167,15 +180,29 @@ func (h *Hypergraph) Contract(clusterOf []int32, numClusters int) (*Hypergraph, 
 	return coarse, repOf
 }
 
-// hashPins is an FNV-1a hash over a sorted pin list.
-func hashPins(pins []int32) uint64 {
+// tableSize is the smallest power of two at least twice n (and at least 2),
+// the slot count that keeps Contract's table at most half full.
+func tableSize(n int) int {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// fingerprint hashes a sorted pin list: FNV-1a over whole pin words, then a
+// SplitMix64 finalizer so the low bits that index the table are well mixed.
+func fingerprint(pins []int32) uint64 {
 	var hsh uint64 = 1469598103934665603
 	for _, p := range pins {
-		for i := 0; i < 4; i++ {
-			hsh ^= uint64(byte(p >> (8 * i)))
-			hsh *= 1099511628211
-		}
+		hsh ^= uint64(uint32(p))
+		hsh *= 1099511628211
 	}
+	hsh ^= hsh >> 30
+	hsh *= 0xbf58476d1ce4e5b9
+	hsh ^= hsh >> 27
+	hsh *= 0x94d049bb133111eb
+	hsh ^= hsh >> 31
 	return hsh
 }
 

@@ -63,17 +63,23 @@ type P struct {
 
 // New allocates partition state for h with every vertex free and on side 0.
 // Call Assign or one of the initial-solution generators before partitioning.
+// With every pin on side 0 the derived state needs no pin sweep: side 0
+// holds the whole area, each net counts its size on side 0, and nothing is
+// cut.
 func New(h *hypergraph.Hypergraph) *P {
 	p := &P{
 		H:         h,
 		side:      make([]uint8, h.NumVertices()),
 		fixedSide: make([]int8, h.NumVertices()),
 		count:     make([][2]int32, h.NumEdges()),
+		area:      [2]int64{h.TotalVertexWeight(), 0},
 	}
 	for i := range p.fixedSide {
 		p.fixedSide[i] = Free
 	}
-	p.recount()
+	for e := range p.count {
+		p.count[e][0] = int32(h.EdgeSize(int32(e)))
+	}
 	return p
 }
 
@@ -100,8 +106,38 @@ func (p *P) recount() {
 // len(sides) must equal the vertex count; entries must be 0 or 1 and must
 // agree with any fixed vertices.
 func (p *P) Assign(sides []uint8) error {
+	if err := p.checkSides("Assign", sides); err != nil {
+		return err
+	}
+	copy(p.side, sides)
+	p.recount()
+	return nil
+}
+
+// Load installs a side vector together with derived state the caller has
+// maintained itself — per-net side pin counts, side areas and the cut — by
+// copying, with no recount. The sides are checked as Assign checks them;
+// the derived state is trusted, which is what lets VerifyPartitionState
+// catch a caller whose incremental bookkeeping drifted.
+func (p *P) Load(sides []uint8, counts [][2]int32, area [2]int64, cut int64) error {
+	if err := p.checkSides("Load", sides); err != nil {
+		return err
+	}
+	if len(counts) != len(p.count) {
+		return fmt.Errorf("partition: Load got %d net counts for %d nets", len(counts), len(p.count))
+	}
+	copy(p.side, sides)
+	copy(p.count, counts)
+	p.area = area
+	p.cut = cut
+	return nil
+}
+
+// checkSides validates a full side vector: one 0 or 1 per vertex, agreeing
+// with every fixed vertex.
+func (p *P) checkSides(op string, sides []uint8) error {
 	if len(sides) != len(p.side) {
-		return fmt.Errorf("partition: Assign got %d sides for %d vertices", len(sides), len(p.side))
+		return fmt.Errorf("partition: %s got %d sides for %d vertices", op, len(sides), len(p.side))
 	}
 	for v, s := range sides {
 		if s > 1 {
@@ -111,8 +147,6 @@ func (p *P) Assign(sides []uint8) error {
 			return fmt.Errorf("partition: vertex %d is fixed to side %d but assigned %d", v, f, s)
 		}
 	}
-	copy(p.side, sides)
-	p.recount()
 	return nil
 }
 
@@ -160,6 +194,10 @@ func (p *P) Cut() int64 { return p.cut }
 
 // SideCount returns how many pins of edge e lie on side s.
 func (p *P) SideCount(e int32, s uint8) int32 { return p.count[e][s] }
+
+// Counts returns the per-net side pin counts, indexed by edge. The slice is
+// the partition's own storage: callers must treat it as read-only.
+func (p *P) Counts() [][2]int32 { return p.count }
 
 // Move flips vertex v to the other side, updating areas, per-net counts and
 // the cut in O(sum of incident net sizes is NOT required — O(degree)).

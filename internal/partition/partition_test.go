@@ -336,3 +336,48 @@ func TestRandomBalancedRepairsSkewedWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestNewMatchesAssignAllZero: New derives its all-on-side-0 state without
+// a pin sweep; it must equal what a full recount of that state gives.
+func TestNewMatchesAssignAllZero(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		h := randomGraph(seed, 1+int(seed%50), int(seed%70))
+		got := New(h)
+		want := New(h)
+		if err := want.Assign(make([]uint8, h.NumVertices())); err != nil {
+			t.Fatal(err)
+		}
+		if got.Cut() != want.Cut() || got.Area(0) != want.Area(0) || got.Area(1) != want.Area(1) {
+			return false
+		}
+		for e := int32(0); e < int32(h.NumEdges()); e++ {
+			if got.SideCount(e, 0) != want.SideCount(e, 0) || got.SideCount(e, 1) != want.SideCount(e, 1) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLoadRejectsBadShapes(t *testing.T) {
+	h := tinyGraph(t)
+	p := New(h)
+	p.Fix(2, 1)
+	counts := p.Counts()
+	area := [2]int64{p.Area(0), p.Area(1)}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"short sides", p.Load([]uint8{0, 0, 1}, counts, area, p.Cut())},
+		{"invalid side", p.Load([]uint8{0, 2, 1, 0}, counts, area, p.Cut())},
+		{"fixed side", p.Load([]uint8{0, 0, 0, 0}, counts, area, p.Cut())},
+		{"short counts", p.Load([]uint8{0, 0, 1, 0}, counts[:1], area, p.Cut())},
+	} {
+		if c.err == nil {
+			t.Errorf("%s: Load accepted it", c.name)
+		}
+	}
+}
