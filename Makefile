@@ -126,13 +126,14 @@ portfolio-smoke:
 # Determinism stress run: the bit-identity and run-to-run determinism tests
 # (optimized vs frozen reference FM, both rollback routes, engine rebind,
 # Build/Contract vs their references, multistart worker counts, the CLI's
-# worker-count and -impl invariance) repeated 20 times, so a
+# worker-count and -impl invariance, the served hit path's byte identity
+# with and without the body-digest memo) repeated 20 times, so a
 # schedule- or state-dependent result that only sometimes shows is caught.
 # Budgeted multi-worker runs are left out: their completed-start count still
 # depends on scheduling (ROADMAP).
-FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestImplEquivalence|TestRunToRunDeterminism)
+FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestImplEquivalence|TestRunToRunDeterminism|TestBodyMemoMatchesFullPath|TestBodyMemoBoundedUnderFlood)
 flake-sweep:
-	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/core ./internal/hypergraph ./internal/multilevel ./internal/eval ./cmd/hgpart
+	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/core ./internal/hypergraph ./internal/multilevel ./internal/eval ./internal/service ./cmd/hgpart
 
 # End-to-end benchmark smoke (bench/ is a module of its own, so the root
 # `go test ./...` never reaches it): every workload runs briefly on

@@ -59,7 +59,7 @@ import (
 // experiment would silently fabricate statistics.
 //
 // All I/O goes through a chaos.FS, so the crash-consistency claims above are
-// not aspirational: internal/faultinject and cmd/hgchaos drive torn writes,
+// not aspirational: the harness tests and cmd/hgchaos drive torn writes,
 // ENOSPC, failed fsyncs and SIGKILL through the same code paths production
 // uses (DESIGN.md §11).
 type Checkpoint struct {

@@ -2,8 +2,7 @@ package eval_test
 
 // Harness acceptance tests: fault isolation, cancellation, budgets,
 // retry-with-reseed, verification and checkpoint/resume — each proved with
-// injected faults per the issue's acceptance criteria. These live in an
-// external test package because internal/faultinject imports eval.
+// injected faults (faults_test.go).
 
 import (
 	"context"
@@ -16,7 +15,6 @@ import (
 
 	"hgpart/internal/core"
 	"hgpart/internal/eval"
-	"hgpart/internal/faultinject"
 	"hgpart/internal/gen"
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/partition"
@@ -42,9 +40,9 @@ func flatFactory(h *hypergraph.Hypergraph, bal partition.Balance) func() eval.He
 	}
 }
 
-func faultyFactory(h *hypergraph.Hypergraph, bal partition.Balance, cfg faultinject.Config) func() eval.Heuristic {
+func faultyFactory(h *hypergraph.Hypergraph, bal partition.Balance, cfg faultConfig) func() eval.Heuristic {
 	inner := flatFactory(h, bal)
-	return func() eval.Heuristic { return faultinject.Wrap(inner(), cfg) }
+	return func() eval.Heuristic { return wrapFaults(inner(), cfg) }
 }
 
 // A panicking start must be recorded as failed without aborting sibling
@@ -52,7 +50,7 @@ func faultyFactory(h *hypergraph.Hypergraph, bal partition.Balance, cfg faultinj
 // same seeds.
 func TestHarnessPanicIsolation(t *testing.T) {
 	h, bal := harnessInstance(t)
-	factory := faultyFactory(h, bal, faultinject.Config{PanicProb: 0.4, Salt: 9})
+	factory := faultyFactory(h, bal, faultConfig{PanicProb: 0.4, Salt: 9})
 	rep := eval.RunMultistart(context.Background(), factory, 12, 31, eval.RunOptions{Workers: 4})
 
 	if rep.Failed == 0 || rep.Completed == 0 {
@@ -66,7 +64,7 @@ func TestHarnessPanicIsolation(t *testing.T) {
 			continue
 		}
 		var pe *eval.PanicError
-		if !errors.As(sr.Err, &pe) || !errors.Is(sr.Err, faultinject.ErrInjectedPanic) {
+		if !errors.As(sr.Err, &pe) || !errors.Is(sr.Err, errInjectedPanic) {
 			t.Fatalf("start %d: failure not a recovered injected panic: %v", sr.Start, sr.Err)
 		}
 	}
@@ -85,7 +83,7 @@ func TestHarnessPanicIsolation(t *testing.T) {
 // while recording the attempt count.
 func TestHarnessRetryWithReseed(t *testing.T) {
 	h, bal := harnessInstance(t)
-	factory := faultyFactory(h, bal, faultinject.Config{PanicProb: 0.6, Salt: 3})
+	factory := faultyFactory(h, bal, faultConfig{PanicProb: 0.6, Salt: 3})
 	rep := eval.RunMultistart(context.Background(), factory, 10, 44, eval.RunOptions{Workers: 3, MaxRetries: 16})
 	if rep.Failed != 0 {
 		t.Fatalf("retries should recover every start at p=0.6: %d failed", rep.Failed)
@@ -149,7 +147,7 @@ func TestHarnessCancellationReturnsPartialResults(t *testing.T) {
 // finish.
 func TestHarnessWallBudget(t *testing.T) {
 	h, bal := harnessInstance(t)
-	factory := faultyFactory(h, bal, faultinject.Config{StallProb: 1, StallFor: 30 * time.Millisecond})
+	factory := faultyFactory(h, bal, faultConfig{StallProb: 1, StallFor: 30 * time.Millisecond})
 	rep := eval.RunMultistart(context.Background(), factory, 16, 21,
 		eval.RunOptions{Workers: 2, WallBudget: 45 * time.Millisecond})
 	if !rep.Incomplete || rep.Reason != "wall-clock budget exhausted" {
@@ -178,7 +176,7 @@ func TestHarnessWorkBudget(t *testing.T) {
 // panics and corruption firing and retries in play.
 func TestHarnessDeterministicAcrossWorkersUnderFaults(t *testing.T) {
 	h, bal := harnessInstance(t)
-	cfg := faultinject.Config{PanicProb: 0.3, CorruptProb: 0.25, Salt: 12}
+	cfg := faultConfig{PanicProb: 0.3, CorruptProb: 0.25, Salt: 12}
 	opt := func(workers int) eval.RunOptions {
 		return eval.RunOptions{Workers: workers, MaxRetries: 3, Verify: eval.VerifyOutcome(bal)}
 	}
@@ -203,7 +201,7 @@ func TestHarnessDeterministicAcrossWorkersUnderFaults(t *testing.T) {
 // be converted into a recorded failure by outcome verification.
 func TestHarnessVerifyCatchesSilentCorruption(t *testing.T) {
 	h, bal := harnessInstance(t)
-	factory := faultyFactory(h, bal, faultinject.Config{CorruptProb: 1})
+	factory := faultyFactory(h, bal, faultConfig{CorruptProb: 1})
 	rep := eval.RunMultistart(context.Background(), factory, 5, 3,
 		eval.RunOptions{Workers: 2, Verify: eval.VerifyOutcome(bal)})
 	if rep.Failed != 5 || rep.Completed != 0 {

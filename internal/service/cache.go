@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 )
 
@@ -13,6 +14,13 @@ import (
 // Hit/miss accounting is the service's singleflight evidence: N concurrent
 // identical requests must record exactly one miss (the flight leader) with
 // the followers counted as coalesced, and later identical requests as hits.
+//
+// The cache also memoizes request bodies for the serve-hit front end
+// (DESIGN.md §10): each entry remembers the sha256 of the last raw request
+// body whose full front end derived its key, so a repeat of that body finds
+// its key without decoding, parsing or hashing the instance again. A body
+// digest lives and dies with its entry, so the memo never holds more digests
+// than the cache holds entries.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int   // immutable after NewCache
@@ -21,6 +29,8 @@ type Cache struct {
 	// ll orders entries front = most recently used.
 	ll    *list.List               //hglint:guardedby mu
 	items map[string]*list.Element //hglint:guardedby mu
+	// bodies maps a remembered request-body digest to its entry.
+	bodies map[[sha256.Size]byte]*list.Element //hglint:guardedby mu
 
 	hits, misses, coalesced, evictions int64 //hglint:guardedby mu
 }
@@ -28,6 +38,9 @@ type Cache struct {
 type cacheEntry struct {
 	key  string
 	body []byte
+	// reqSum is the remembered request-body digest, when hasReq.
+	reqSum [sha256.Size]byte
+	hasReq bool
 }
 
 // NewCache builds a cache bounded to maxEntries entries and maxBytes total
@@ -38,6 +51,7 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
+		bodies:     make(map[[sha256.Size]byte]*list.Element),
 	}
 }
 
@@ -66,6 +80,38 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return el.Value.(*cacheEntry).body, true
+}
+
+// keyForBody returns the cache key a request body with sha256 sum resolved
+// to, if the body is remembered and its report still cached. It counts
+// nothing and leaves recency alone: the caller's Get does both.
+func (c *Cache) keyForBody(sum [sha256.Size]byte) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.bodies[sum]
+	if !ok {
+		return "", false
+	}
+	return el.Value.(*cacheEntry).key, true
+}
+
+// rememberBody records that a request body with sha256 sum derives key. It
+// is a no-op unless key is cached, and the entry forgets the body it
+// remembered before, so a flood of distinct bodies sharing one key holds
+// one digest.
+func (c *Cache) rememberBody(sum [sha256.Size]byte, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	if ent.hasReq {
+		delete(c.bodies, ent.reqSum)
+	}
+	ent.reqSum, ent.hasReq = sum, true
+	c.bodies[sum] = el
 }
 
 // Miss records one cache miss (called by the flight leader exactly once per
@@ -110,6 +156,9 @@ func (c *Cache) Put(key string, body []byte) {
 		ent := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, ent.key)
+		if ent.hasReq {
+			delete(c.bodies, ent.reqSum)
+		}
 		c.bytes -= int64(len(ent.body))
 		c.evictions++
 	}

@@ -13,7 +13,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -285,27 +287,80 @@ func errorBodyFields(w http.ResponseWriter, code int, msg string, fields map[str
 	_ = json.NewEncoder(w).Encode(doc)
 }
 
-// decodeRequest reads and decodes a PartitionRequest body under the
-// configured byte limit, writing the structured error response itself on
-// failure. An oversized body gets 413 with the configured limit; malformed
-// JSON gets 400.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PartitionRequest, bool) {
-	var req PartitionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+// presizeCap bounds readBody's up-front allocation, so a client announcing
+// a large Content-Length must send bytes before the server commits memory
+// to them; a larger body grows its buffer as it arrives.
+const presizeCap = 1 << 20
+
+// readBody reads the whole request body once, under the configured byte
+// limit, into one buffer sized from Content-Length, writing the structured
+// error response itself on failure: a body over the limit gets 413 with the
+// configured limit, whatever JSON it starts with.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		// ReadFrom wants MinRead spare bytes to see EOF without regrowing.
+		buf.Grow(int(min(r.ContentLength, s.cfg.MaxBodyBytes, presizeCap)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			errorBodyFields(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds the configured limit of %d bytes", s.cfg.MaxBodyBytes),
 				map[string]any{"limit_bytes": s.cfg.MaxBodyBytes})
-			return req, false
+			return nil, false
 		}
 		errorBody(w, http.StatusBadRequest, "decode request: "+err.Error())
-		return req, false
+		return nil, false
 	}
-	return req, true
+	return buf.Bytes(), true
+}
+
+// admitRequest is the front end both POST routes share: decode the read
+// body (one JSON value, unknown fields and trailing non-whitespace
+// rejected), normalize, validate, run the route's gate, resolve the
+// instance and admit it against the size caps. On failure it has written
+// the error response; gate writes its own.
+func (s *Server) admitRequest(w http.ResponseWriter, raw []byte, gate func(*PartitionRequest) bool) (
+	req PartitionRequest, h *hypergraph.Hypergraph, instName string, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		errorBody(w, http.StatusBadRequest, "decode request: "+err.Error())
+		return req, nil, "", false
+	}
+	if len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) > 0 {
+		errorBody(w, http.StatusBadRequest, "decode request: trailing data after the JSON value")
+		return req, nil, "", false
+	}
+	req.normalize()
+	if err := req.validate(); err != nil {
+		errorBody(w, http.StatusBadRequest, err.Error())
+		return req, nil, "", false
+	}
+	if !gate(&req) {
+		return req, nil, "", false
+	}
+	h, instName, err := req.resolveInstance()
+	if err != nil {
+		var pe *netlist.ParseError
+		var re *RequestError
+		switch {
+		case errors.As(err, &pe):
+			errorBody(w, http.StatusBadRequest, fmt.Sprintf("%s instance rejected: %s", pe.Format, pe.Error()))
+		case errors.As(err, &re):
+			errorBody(w, http.StatusBadRequest, re.Error())
+		default:
+			// Every bad input resolves to a typed error; anything else is
+			// the server's own fault.
+			errorBody(w, http.StatusInternalServerError, err.Error())
+		}
+		return req, nil, "", false
+	}
+	if !s.admitInstance(w, h) {
+		return req, nil, "", false
+	}
+	return req, h, instName, true
 }
 
 // admitInstance enforces the resolved-instance size caps, writing the 422
@@ -326,57 +381,69 @@ func (s *Server) admitInstance(w http.ResponseWriter, h *hypergraph.Hypergraph) 
 	return true
 }
 
-// handlePartition is the main entry point. Flow: decode → validate →
-// resolve instance → cache lookup → singleflight submit → (sync) wait.
+// checkDeadline parses a coordinator's propagated X-Hg-Deadline, writing
+// the 400 for a malformed one and the 504 for one already passed.
+func (s *Server) checkDeadline(w http.ResponseWriter, r *http.Request) (deadline time.Time, has, ok bool) {
+	deadline, has, err := parseDeadline(r.Header)
+	if err != nil {
+		errorBody(w, http.StatusBadRequest, err.Error())
+		return deadline, has, false
+	}
+	if has && !time.Now().Before(deadline) {
+		s.metrics.DeadlineAbandon()
+		errorBody(w, http.StatusGatewayTimeout,
+			"propagated coordinator deadline already passed; job abandoned before start")
+		return deadline, has, false
+	}
+	return deadline, has, true
+}
+
+// handlePartition is the main entry point. Flow: read body → body-digest
+// memo hit, or decode → validate → deadline → resolve instance → cache
+// lookup → singleflight submit → (sync) wait.
+//
+// A body whose digest the cache remembers has passed decode, validate,
+// resolve and admit before, and each is a pure function of the body bytes
+// and static config, so the memo path runs only the steps that can still
+// fail — the deadline check, then the cache lookup — and a memo miss or an
+// evicted report falls through to the full path.
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		errorBody(w, http.StatusServiceUnavailable, "service is draining")
 		return
 	}
-	req, ok := s.decodeRequest(w, r)
+	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		errorBody(w, http.StatusBadRequest, err.Error())
-		return
+	sum := sha256.Sum256(raw)
+	if key, ok := s.cache.keyForBody(sum); ok {
+		if _, _, ok := s.checkDeadline(w, r); !ok {
+			return
+		}
+		if cached, ok := s.cache.Get(key); ok {
+			s.writeReport(w, cached, "hit", "")
+			return
+		}
 	}
 	// A coordinator stamps dispatches with its absolute deadline; honoring
 	// it here means a worker never computes for a coordinator that has
 	// already failed over (the journal keeps completed starts either way).
-	deadline, hasDeadline, derr := parseDeadline(r.Header)
-	if derr != nil {
-		errorBody(w, http.StatusBadRequest, derr.Error())
-		return
-	}
-	if hasDeadline && !time.Now().Before(deadline) {
-		s.metrics.DeadlineAbandon()
-		errorBody(w, http.StatusGatewayTimeout,
-			"propagated coordinator deadline already passed; job abandoned before start")
-		return
-	}
-	h, instName, err := req.resolveInstance()
-	if err != nil {
-		var pe *netlist.ParseError
-		if errors.As(err, &pe) {
-			errorBody(w, http.StatusBadRequest,
-				fmt.Sprintf("%s instance rejected: %s", pe.Format, pe.Error()))
-			return
-		}
-		var re *RequestError
-		if errors.As(err, &re) {
-			errorBody(w, http.StatusBadRequest, re.Error())
-			return
-		}
-		errorBody(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if !s.admitInstance(w, h) {
+	var deadline time.Time
+	var hasDeadline bool
+	req, h, instName, ok := s.admitRequest(w, raw, func(*PartitionRequest) bool {
+		var ok bool
+		deadline, hasDeadline, ok = s.checkDeadline(w, r)
+		return ok
+	})
+	if !ok {
 		return
 	}
 	instHash := instanceHash(h)
 	key := cacheKey(instHash, &req)
+	// Remember the body once the request is answered: by then a miss's
+	// report is cached too, and an uncached key remembers nothing.
+	defer s.cache.rememberBody(sum, key)
 
 	if cached, ok := s.cache.Get(key); ok {
 		s.writeReport(w, cached, "hit", "")

@@ -2,11 +2,9 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"hgpart/internal/core"
-	"hgpart/internal/netlist"
 	"hgpart/internal/partition"
 	"hgpart/internal/rng"
 	"hgpart/internal/trace"
@@ -51,30 +49,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusServiceUnavailable, "service is draining")
 		return
 	}
-	req, ok := s.decodeRequest(w, r)
+	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		errorBody(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Engine != "flat" && req.Engine != "clip" {
-		errorBody(w, http.StatusBadRequest, "trace requires engine flat or clip (pass tracers exist for the flat FM engines)")
-		return
-	}
-	h, instName, err := req.resolveInstance()
-	if err != nil {
-		var pe *netlist.ParseError
-		if errors.As(err, &pe) {
-			errorBody(w, http.StatusBadRequest, pe.Format+" instance rejected: "+pe.Error())
-			return
+	req, h, instName, ok := s.admitRequest(w, raw, func(req *PartitionRequest) bool {
+		if req.Engine != "flat" && req.Engine != "clip" {
+			errorBody(w, http.StatusBadRequest, "trace requires engine flat or clip (pass tracers exist for the flat FM engines)")
+			return false
 		}
-		errorBody(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if !s.admitInstance(w, h) {
+		return true
+	})
+	if !ok {
 		return
 	}
 

@@ -110,7 +110,9 @@ type TestResult struct {
 	Statistic float64
 	// Z is the normal-approximation z-score.
 	Z float64
-	// P is the two-sided p-value under the normal approximation.
+	// P is the two-sided p-value: exact for WilcoxonSignedRank with at most
+	// ExactWilcoxonMaxN non-zero differences, the normal approximation
+	// otherwise.
 	P float64
 }
 
@@ -179,9 +181,18 @@ func MannWhitneyU(a, b []float64) (TestResult, error) {
 	return TestResult{Statistic: u, Z: z, P: p}, nil
 }
 
+// ExactWilcoxonMaxN is the largest number of non-zero paired differences
+// for which WilcoxonSignedRank computes the exact null distribution; above
+// it the normal approximation is accurate enough.
+const ExactWilcoxonMaxN = 20
+
 // WilcoxonSignedRank performs the two-sided Wilcoxon signed-rank test on
 // paired samples (e.g. two heuristics run on the same instances with shared
-// seeds). Zero differences are dropped, per standard practice.
+// seeds). Zero differences are dropped, per standard practice. With at most
+// ExactWilcoxonMaxN non-zero differences the p-value is exact: the null
+// distribution of W+ over all 2^n equally likely sign patterns of the
+// observed (mid)ranks, tied ranks included. Larger samples use the normal
+// approximation with tie correction.
 func WilcoxonSignedRank(a, b []float64) (TestResult, error) {
 	if len(a) != len(b) {
 		return TestResult{}, errors.New("stats: WilcoxonSignedRank needs equal-length samples")
@@ -207,23 +218,26 @@ func WilcoxonSignedRank(a, b []float64) (TestResult, error) {
 		return TestResult{Statistic: 0, Z: 0, P: 1}, nil
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].abs < ds[j].abs })
-	var wPlus float64
+	// ranks2 holds doubled midranks, integers even when ranks tie.
+	ranks2 := make([]int, n)
+	var wPlus2 int
 	var tieTerm float64
 	for i := 0; i < n; {
 		j := i
 		for j < n && ds[j].abs == ds[i].abs {
 			j++
 		}
-		mid := float64(i+j+1) / 2
 		for k := i; k < j; k++ {
+			ranks2[k] = i + j + 1 // twice the average of 1-based ranks i+1..j
 			if ds[k].sign > 0 {
-				wPlus += mid
+				wPlus2 += ranks2[k]
 			}
 		}
 		t := float64(j - i)
 		tieTerm += t*t*t - t
 		i = j
 	}
+	wPlus := float64(wPlus2) / 2
 	nf := float64(n)
 	mu := nf * (nf + 1) / 4
 	sigma2 := nf*(nf+1)*(2*nf+1)/24 - tieTerm/48
@@ -232,7 +246,42 @@ func WilcoxonSignedRank(a, b []float64) (TestResult, error) {
 	}
 	z := (wPlus - mu) / math.Sqrt(sigma2)
 	p := 2 * normalCDF(-math.Abs(z))
+	if n <= ExactWilcoxonMaxN {
+		p = exactSignedRankP(ranks2, wPlus2)
+	}
 	return TestResult{Statistic: wPlus, Z: z, P: p}, nil
+}
+
+// exactSignedRankP is the two-sided exact p-value of an observed doubled
+// W+ of w2 given the doubled ranks: twice the smaller tail probability of
+// the null distribution, in which each rank carries a + sign independently
+// with probability 1/2, capped at 1.
+func exactSignedRankP(ranks2 []int, w2 int) float64 {
+	total := 0
+	for _, r := range ranks2 {
+		total += r
+	}
+	// count[s] is the number of sign patterns whose doubled W+ is s.
+	count := make([]float64, total+1)
+	count[0] = 1
+	hi := 0
+	for _, r := range ranks2 {
+		for s := hi; s >= 0; s-- {
+			count[s+r] += count[s]
+		}
+		hi += r
+	}
+	var lower, upper float64
+	for s, c := range count {
+		if s <= w2 {
+			lower += c
+		}
+		if s >= w2 {
+			upper += c
+		}
+	}
+	patterns := math.Ldexp(1, len(ranks2))
+	return math.Min(1, 2*math.Min(lower, upper)/patterns)
 }
 
 // normalCDF is the standard normal cumulative distribution function.

@@ -230,3 +230,63 @@ func TestPValueInUnitInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// signedDiffs returns the differences 1..n, negated where neg says so: a
+// paired sample whose signed ranks are exactly those values.
+func signedDiffs(n int, neg ...int) (a, b []float64) {
+	a, b = make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = float64(i + 1)
+	}
+	for _, r := range neg {
+		a[r-1] = -a[r-1]
+	}
+	return a, b
+}
+
+func TestWilcoxonExactSmallSample(t *testing.T) {
+	// All five differences positive: W+ = 15 is the single most extreme of
+	// 2^5 sign patterns, so p = 2/32.
+	a, b := signedDiffs(5)
+	res, err := WilcoxonSignedRank(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.P != 0.0625 || res.Statistic != 15 {
+		t.Fatalf("5 of 5 positive: W+ = %v, p = %v; want 15, 0.0625", res.Statistic, res.P)
+	}
+	// Ties use midranks: diffs 1, 1, 2 have ranks 1.5, 1.5, 3; all positive
+	// is one pattern of 8 at each extreme, so p = 2/8.
+	if res, _ := WilcoxonSignedRank([]float64{1, 1, 2}, []float64{0, 0, 0}); res.P != 0.25 || res.Statistic != 6 {
+		t.Fatalf("tied ranks: W+ = %v, p = %v; want 6, 0.25", res.Statistic, res.P)
+	}
+}
+
+// The published two-sided alpha = 0.05 critical values: the test rejects
+// when min(W+, W-) is at most the critical value, and not one above it.
+func TestWilcoxonExactCriticalValues(t *testing.T) {
+	cases := []struct {
+		n        int
+		critical []int // negative ranks summing to the critical value
+		above    []int // negative ranks summing to one more
+	}{
+		{8, []int{1, 2}, []int{4}},
+		{10, []int{8}, []int{9}},
+		{20, []int{20, 19, 13}, []int{20, 19, 14}},
+	}
+	for _, tc := range cases {
+		a, b := signedDiffs(tc.n, tc.critical...)
+		at, err := WilcoxonSignedRank(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b = signedDiffs(tc.n, tc.above...)
+		above, err := WilcoxonSignedRank(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !at.Significant(0.05) || above.Significant(0.05) {
+			t.Fatalf("n=%d: p at the critical value %v, one above %v; want < 0.05 and >= 0.05", tc.n, at.P, above.P)
+		}
+	}
+}
