@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"hgpart/internal/chaos"
-	"hgpart/internal/hypergraph"
 )
 
 // ClusterConfig configures coordinator mode: the node routes jobs to a
@@ -89,115 +87,6 @@ func (c *ClusterConfig) withDefaults() ClusterConfig {
 // queue is full (HTTP 503 + Retry-After at the handler).
 var errClusterBusy = fmt.Errorf("cluster dispatch queues are full; retry later")
 
-// clusterJob is one request the coordinator shepherds through the fleet. It
-// mirrors Job's lifecycle (queued → running → terminal, singleflight by
-// cache key, waiters select on done) but executes remotely — or locally,
-// when the whole fleet is unreachable.
-type clusterJob struct {
-	ID  string
-	Key string
-
-	req      PartitionRequest
-	inst     *hypergraph.Hypergraph
-	instName string
-	instHash string
-	forward  []byte // marshaled request for dispatch (async stripped)
-
-	mu    sync.Mutex
-	state JobState //hglint:guardedby mu
-	// worker is the current/last node executing this job ("local" = fallback).
-	worker string //hglint:guardedby mu
-	// remoteJob is the job id on the worker that produced the result.
-	remoteJob string //hglint:guardedby mu
-	// dispatches counts routing attempts (initial + failovers).
-	dispatches int       //hglint:guardedby mu
-	httpStatus int       //hglint:guardedby mu
-	body       []byte    //hglint:guardedby mu
-	errMsg     string    //hglint:guardedby mu
-	enqueued   time.Time //hglint:guardedby mu
-	started    time.Time //hglint:guardedby mu
-	finished   time.Time //hglint:guardedby mu
-
-	done chan struct{}
-}
-
-func (cj *clusterJob) markRunning(worker string) {
-	cj.mu.Lock()
-	cj.state = JobRunning
-	cj.worker = worker
-	if cj.started.IsZero() {
-		cj.started = time.Now()
-	}
-	cj.mu.Unlock()
-}
-
-// finish moves the cluster job to a terminal state exactly once.
-func (cj *clusterJob) finish(code int, body []byte, errMsg, remoteJob string) {
-	cj.mu.Lock()
-	if cj.state == JobDone || cj.state == JobFailed {
-		cj.mu.Unlock()
-		return
-	}
-	if code == http.StatusOK {
-		cj.state = JobDone
-	} else {
-		cj.state = JobFailed
-	}
-	cj.httpStatus = code
-	cj.body = body
-	cj.errMsg = errMsg
-	if remoteJob != "" {
-		cj.remoteJob = remoteJob
-	}
-	cj.finished = time.Now()
-	cj.mu.Unlock()
-	close(cj.done)
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (cj *clusterJob) Done() <-chan struct{} { return cj.done }
-
-// Result returns the terminal HTTP status, report bytes and error message.
-func (cj *clusterJob) Result() (int, []byte, string) {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	return cj.httpStatus, cj.body, cj.errMsg
-}
-
-// Status renders the coordinator's job view; Worker/RemoteJob let a caller
-// chase the job to the node that actually computed it.
-func (cj *clusterJob) Status() JobStatus {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	st := JobStatus{
-		ID:        cj.ID,
-		State:     cj.state,
-		Instance:  cj.instName,
-		CacheKey:  cj.Key,
-		Priority:  cj.req.Priority,
-		Starts:    cj.req.Starts,
-		Error:     cj.errMsg,
-		Worker:    cj.worker,
-		RemoteJob: cj.remoteJob,
-		Requeues:  cj.dispatches - 1,
-	}
-	if cj.dispatches == 0 {
-		st.Requeues = 0
-	}
-	switch {
-	case cj.state == JobQueued:
-		st.ElapsedMS = 0
-	case cj.finished.IsZero():
-		st.ElapsedMS = time.Since(cj.started).Milliseconds()
-	default:
-		st.ElapsedMS = cj.finished.Sub(cj.started).Milliseconds()
-	}
-	if len(cj.body) > 0 && cj.httpStatus == http.StatusOK {
-		st.Report = json.RawMessage(cj.body)
-	}
-	return st
-}
-
 // breakerState is one worker's deterministic circuit-breaker position. All
 // transitions are event-driven — consecutive-failure counts and heartbeat
 // successes, never timers or randomness — so a replayed fault schedule
@@ -271,9 +160,14 @@ func (h *workerHealth) dispatchable() bool { return h.breaker != breakerOpen }
 //   - with NO healthy workers the coordinator degrades to single-node mode:
 //     jobs run on its own local Manager instead of erroring, and only a
 //     genuinely full system sheds load (503 + Retry-After).
+//
+// The Coordinator owns no jobs: every job lives in the Manager's registry,
+// and dispatch, failover and local fallback are execution choices for that
+// one Job. Lock order is Manager.mu, then Coordinator.mu, then Job.mu, so a
+// job the fleet cannot take is handed to the Manager after c.mu is released.
 type Coordinator struct {
 	cfg    ClusterConfig
-	srv    *Server
+	m      *Manager
 	ring   *Ring
 	client *http.Client
 	log    *slog.Logger
@@ -281,15 +175,11 @@ type Coordinator struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	health   map[string]*workerHealth //hglint:guardedby mu
-	queues   map[string][]*clusterJob //hglint:guardedby mu
-	inflight map[string]*clusterJob   //hglint:guardedby mu
-	jobs     map[string]*clusterJob   //hglint:guardedby mu
-	order    []string                 //hglint:guardedby mu
-	nextSeq  int64                    //hglint:guardedby mu
-	closed   bool                     //hglint:guardedby mu
+	mu     sync.Mutex
+	cond   *sync.Cond
+	health map[string]*workerHealth //hglint:guardedby mu
+	queues map[string][]*Job        //hglint:guardedby mu
+	closed bool                     //hglint:guardedby mu
 
 	wg sync.WaitGroup
 }
@@ -301,18 +191,16 @@ func (c *Coordinator) maxDispatchesPerJob() int { return 2*len(c.ring.Nodes()) +
 // newCoordinator builds the coordinator and starts its dispatchers and
 // heartbeat probers. Workers start optimistically healthy: a dead node is
 // discovered by the first dispatch or probe, whichever comes first.
-func newCoordinator(cfg ClusterConfig, s *Server) *Coordinator {
+func newCoordinator(cfg ClusterConfig, m *Manager) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:      cfg,
-		srv:      s,
-		ring:     NewRing(cfg.Workers, cfg.Replicas),
-		client:   &http.Client{Transport: s.cfg.Transport},
-		log:      s.log,
-		health:   make(map[string]*workerHealth),
-		queues:   make(map[string][]*clusterJob),
-		inflight: make(map[string]*clusterJob),
-		jobs:     make(map[string]*clusterJob),
+		cfg:    cfg,
+		m:      m,
+		ring:   NewRing(cfg.Workers, cfg.Replicas),
+		client: &http.Client{Transport: m.cfg.Transport},
+		log:    m.log,
+		health: make(map[string]*workerHealth),
+		queues: make(map[string][]*Job),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
@@ -333,9 +221,10 @@ func newCoordinator(cfg ClusterConfig, s *Server) *Coordinator {
 	return c
 }
 
-// Close stops routing: queued jobs fail with 503, in-flight dispatches are
-// cancelled, dispatchers and probers exit. Local-fallback jobs detach from
-// their Manager job (the Manager's own drain checkpoints it).
+// Close stops routing: jobs still in a dispatch queue are cancelled like
+// queued Manager jobs (503), in-flight dispatches are interrupted through
+// their job contexts, dispatchers and probers exit. The Manager calls it
+// from Drain and Close once it has stopped taking submissions.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -343,140 +232,47 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	var queued []*clusterJob
+	var queued []*Job
 	for _, addr := range c.ring.Nodes() { // sorted, so drain order is deterministic
 		queued = append(queued, c.queues[addr]...)
 		c.queues[addr] = nil
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, cj := range queued {
-		c.finishJob(cj, http.StatusServiceUnavailable, nil, "coordinator draining before the job was dispatched", "")
+	for _, j := range queued {
+		c.m.cancelQueued(j, http.StatusServiceUnavailable, drainQueuedMsg)
 	}
 	c.baseCancel()
 	c.wg.Wait()
 }
 
-// Submit routes one request into the cluster, coalescing identical in-flight
-// requests by cache key exactly like Manager.Submit.
-func (c *Coordinator) Submit(req PartitionRequest, inst *hypergraph.Hypergraph,
-	instName, instHash, key string) (*clusterJob, bool, error) {
-	forwardReq := req
-	forwardReq.Async = false // the coordinator itself waits on the worker
-	forward, err := json.Marshal(&forwardReq)
-	if err != nil {
-		return nil, false, err
-	}
-
+// route places a new job on the dispatch queue of the first dispatchable
+// worker in ring order with queue room. It reports local = true when no
+// worker is dispatchable — the caller then runs the job on its own pool —
+// and errClusterBusy when every dispatchable worker's queue is full.
+// Called by Manager.Submit with the Manager's lock held.
+func (c *Coordinator) route(j *Job) (local bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, false, errDraining
+		return false, errDraining
 	}
-	if cj, ok := c.inflight[key]; ok {
-		return cj, true, nil
-	}
-	c.nextSeq++
-	cj := &clusterJob{
-		ID:       fmt.Sprintf("c-%06d", c.nextSeq),
-		Key:      key,
-		req:      req,
-		inst:     inst,
-		instName: instName,
-		instHash: instHash,
-		forward:  forward,
-		state:    JobQueued,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-
-	// Route by ring order among healthy workers with queue room.
-	target := ""
 	anyHealthy := false
-	for _, addr := range c.ring.Order(key) {
+	for _, addr := range c.ring.Order(j.Key) {
 		if !c.health[addr].dispatchable() {
 			continue
 		}
 		anyHealthy = true
 		if len(c.queues[addr]) < c.cfg.QueuePerWorker {
-			target = addr
-			break
+			c.queues[addr] = append(c.queues[addr], j)
+			c.cond.Broadcast()
+			return false, nil
 		}
 	}
-	switch {
-	case !anyHealthy:
-		// Whole fleet unreachable: degrade to single-node mode rather than
-		// erroring. The local Manager's own queue bound still applies.
-		c.registerLocked(cj)
-		c.localFallbackLocked(cj, "no healthy workers")
-	case target == "":
-		return nil, false, errClusterBusy
-	default:
-		c.registerLocked(cj)
-		// registerLocked published cj (Job/Jobs can hand it out), so its
-		// mu-guarded fields need cj.mu from here on — c.mu is not enough.
-		cj.mu.Lock()
-		cj.dispatches++
-		cj.mu.Unlock()
-		c.queues[target] = append(c.queues[target], cj)
-		c.cond.Broadcast()
+	if anyHealthy {
+		return false, errClusterBusy
 	}
-	c.srv.metrics.JobSubmitted()
-	return cj, false, nil
-}
-
-func (c *Coordinator) registerLocked(cj *clusterJob) {
-	c.jobs[cj.ID] = cj
-	c.order = append(c.order, cj.ID)
-	c.inflight[cj.Key] = cj
-	c.pruneLocked()
-}
-
-// pruneLocked bounds coordinator job history like Manager.pruneLocked.
-func (c *Coordinator) pruneLocked() {
-	cap := c.srv.cfg.HistoryCap
-	if cap <= 0 || len(c.order) <= cap {
-		return
-	}
-	kept := c.order[:0]
-	excess := len(c.order) - cap
-	for _, id := range c.order {
-		cj := c.jobs[id]
-		terminal := false
-		if cj != nil {
-			cj.mu.Lock()
-			terminal = cj.state == JobDone || cj.state == JobFailed
-			cj.mu.Unlock()
-		}
-		if excess > 0 && (cj == nil || terminal) {
-			delete(c.jobs, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	c.order = kept
-}
-
-// Job looks a cluster job up by id.
-func (c *Coordinator) Job(id string) (*clusterJob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cj, ok := c.jobs[id]
-	return cj, ok
-}
-
-// Jobs snapshots retained cluster jobs in submission order.
-func (c *Coordinator) Jobs() []*clusterJob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*clusterJob, 0, len(c.order))
-	for _, id := range c.order {
-		if cj, ok := c.jobs[id]; ok {
-			out = append(out, cj)
-		}
-	}
-	return out
+	return true, nil
 }
 
 // dispatchLoop is one dispatcher slot for worker `home`: it pops the home
@@ -486,65 +282,97 @@ func (c *Coordinator) Jobs() []*clusterJob {
 func (c *Coordinator) dispatchLoop(home string) {
 	defer c.wg.Done()
 	for {
-		cj := c.next(home)
-		if cj == nil {
+		j, ctx, cancel := c.next(home)
+		if j == nil {
 			return
 		}
-		c.dispatch(home, cj)
+		c.dispatch(ctx, home, j)
+		cancel()
 	}
 }
 
 // next blocks until home has work (own queue, or a steal) or the
-// coordinator closes (nil).
-func (c *Coordinator) next(home string) *clusterJob {
+// coordinator closes (nil). Jobs cancelled while queued are skipped, the
+// way Manager.worker skips them.
+func (c *Coordinator) next(home string) (*Job, context.Context, context.CancelFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.closed {
-			return nil
+			return nil, nil, nil
 		}
-		if c.health[home].dispatchable() {
-			if q := c.queues[home]; len(q) > 0 {
-				cj := q[0]
-				c.queues[home] = q[1:]
-				return cj
-			}
+		if !c.health[home].dispatchable() {
+			c.cond.Wait()
+			continue
+		}
+		from := home
+		if len(c.queues[home]) == 0 {
 			// Steal from the longest sibling queue, oldest job first (it has
 			// waited longest). Ties break by ring node order, deterministically.
-			best, bestLen := "", 0
+			from = ""
+			bestLen := 0
 			for _, addr := range c.ring.Nodes() {
-				if addr == home {
-					continue
+				if l := len(c.queues[addr]); addr != home && l > bestLen {
+					from, bestLen = addr, l
 				}
-				if l := len(c.queues[addr]); l > bestLen {
-					best, bestLen = addr, l
-				}
-			}
-			if bestLen > 0 {
-				q := c.queues[best]
-				cj := q[0]
-				c.queues[best] = q[1:]
-				c.srv.metrics.ClusterSteal()
-				c.log.Info("cluster: stole queued job", "job", cj.ID, "from", best, "to", home)
-				return cj
 			}
 		}
-		c.cond.Wait()
+		if from == "" {
+			c.cond.Wait()
+			continue
+		}
+		j := c.queues[from][0]
+		c.queues[from] = c.queues[from][1:]
+		ctx, cancel, ok := c.claim(j, home)
+		if !ok {
+			continue
+		}
+		if from != home {
+			c.m.metrics.ClusterSteal()
+			c.log.Info("cluster: stole queued job", "job", j.ID, "from", from, "to", home)
+		}
+		return j, ctx, cancel
 	}
+}
+
+// claim moves a popped job to running on worker under a per-job context
+// derived from baseCtx, so Manager.Cancel stops the dispatch and a drain
+// interrupts it. A job no longer queued is refused.
+func (c *Coordinator) claim(j *Job, worker string) (context.Context, context.CancelFunc, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != JobQueued {
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithCancel(c.baseCtx)
+	j.state = JobRunning
+	j.worker = worker
+	j.cancel = cancel
+	if j.started.IsZero() {
+		j.started = time.Now()
+	}
+	return ctx, cancel, true
 }
 
 // dispatch POSTs the job to worker synchronously under chaos.Retry. A 200
 // that passes the integrity envelope finishes the job with the worker's
 // report bytes; a corrupted or oversized response is retried like a
 // transport error; a non-retryable HTTP error forwards the worker's
-// verdict; exhausted retries mean the worker is dead — trip its breaker
-// and fail the job over.
-func (c *Coordinator) dispatch(worker string, cj *clusterJob) {
-	cj.markRunning(worker)
-	c.srv.metrics.ClusterDispatch()
-	cj.mu.Lock()
-	attempt := cj.dispatches
-	cj.mu.Unlock()
+// verdict; a cancelled job context (DELETE or drain) settles the job as
+// cancelled without blaming the worker; exhausted retries mean the worker
+// is dead — trip its breaker and fail the job over.
+func (c *Coordinator) dispatch(ctx context.Context, worker string, j *Job) {
+	c.m.metrics.ClusterDispatch()
+	j.mu.Lock()
+	attempt := j.requeues + 1
+	j.mu.Unlock()
+	forwardReq := j.req
+	forwardReq.Async = false // the coordinator itself waits on the worker
+	forward, err := json.Marshal(&forwardReq)
+	if err != nil {
+		c.m.fail(j, http.StatusInternalServerError, err.Error())
+		return
+	}
 
 	var (
 		body      []byte
@@ -556,22 +384,22 @@ func (c *Coordinator) dispatch(worker string, cj *clusterJob) {
 		MaxAttempts: c.cfg.DispatchRetries,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    500 * time.Millisecond,
-		Seed:        c.cfg.RetrySeed ^ ringHash(cj.Key) ^ uint64(attempt),
+		Seed:        c.cfg.RetrySeed ^ ringHash(j.Key) ^ uint64(attempt),
 	}
-	err := retry.Do(c.baseCtx, func() (time.Duration, bool, error) {
+	err = retry.Do(ctx, func() (time.Duration, bool, error) {
 		// Each attempt gets a fresh deadline: a retry after a worker 504 must
 		// grant the redispatch its full budget, not the stale remainder.
-		rpcCtx := c.baseCtx
+		rpcCtx := ctx
 		cancel := context.CancelFunc(func() {})
 		deadline := ""
 		if c.cfg.DispatchDeadline > 0 {
 			dl := time.Now().Add(c.cfg.DispatchDeadline)
-			rpcCtx, cancel = context.WithDeadline(c.baseCtx, dl)
+			rpcCtx, cancel = context.WithDeadline(ctx, dl)
 			deadline = strconv.FormatInt(dl.UnixMilli(), 10)
 		}
 		defer cancel()
 		req, rerr := http.NewRequestWithContext(rpcCtx, http.MethodPost,
-			"http://"+worker+"/v1/partition", bytes.NewReader(cj.forward))
+			"http://"+worker+"/v1/partition", bytes.NewReader(forward))
 		if rerr != nil {
 			return 0, false, rerr
 		}
@@ -596,9 +424,9 @@ func (c *Coordinator) dispatch(worker string, cj *clusterJob) {
 			if !integrityOK(resp.Header, b) {
 				// Corrupted in transit. The bytes must not reach the cache or
 				// a client; retrying (and eventually failing over) recomputes.
-				c.srv.metrics.IntegrityFailure("dispatch")
+				c.m.metrics.IntegrityFailure("dispatch")
 				c.log.Warn("cluster: dispatch response failed the sha256 envelope; recomputing",
-					"job", cj.ID, "worker", worker)
+					"job", j.ID, "worker", worker)
 				return 0, true, fmt.Errorf("worker %s: response body failed the sha256 integrity check", worker)
 			}
 			body = b
@@ -621,12 +449,21 @@ func (c *Coordinator) dispatch(worker string, cj *clusterJob) {
 	})
 	switch {
 	case err == nil:
-		c.srv.cache.Put(cj.Key, body)
-		c.finishJob(cj, http.StatusOK, body, "", remoteJob)
+		c.m.cache.Put(j.Key, body)
+		c.m.removeInflight(j.Key)
+		j.mu.Lock()
+		j.remoteJob = remoteJob
+		j.mu.Unlock()
+		j.finish(JobDone, http.StatusOK, body, "")
+		c.m.metrics.JobFinished(JobDone)
 	case permCode != 0:
-		c.finishJob(cj, permCode, nil, permMsg, "")
+		c.m.fail(j, permCode, permMsg)
+	case ctx.Err() != nil:
+		// A DELETE or a drain stopped the job, not a dead worker: no
+		// failover, and no breaker trip for a healthy node.
+		c.m.cancelled(j, 0, "")
 	default:
-		c.failover(worker, cj, err)
+		c.failover(worker, j, err)
 	}
 }
 
@@ -645,93 +482,53 @@ func errorMessage(body []byte, fallback string) string {
 // failover reacts to a dead worker: trip its breaker open (draining its
 // queue onto survivors) and reroute this job to the next dispatchable node
 // in ring order — or compute locally when none remains.
-func (c *Coordinator) failover(worker string, cj *clusterJob, cause error) {
+func (c *Coordinator) failover(worker string, j *Job, cause error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		c.finishJob(cj, http.StatusServiceUnavailable, nil, "coordinator draining", "")
+		c.m.cancelled(j, 0, "")
 		return
 	}
-	c.srv.metrics.ClusterFailover()
-	c.log.Warn("cluster: dispatch failed; failing job over", "job", cj.ID, "worker", worker, "err", cause)
-	c.tripBreakerLocked(worker, cause)
-	c.enqueueLocked(cj)
+	c.m.metrics.ClusterFailover()
+	c.log.Warn("cluster: dispatch failed; failing job over", "job", j.ID, "worker", worker, "err", cause)
+	local := c.tripBreakerLocked(worker, cause)
+	if c.rerouteLocked(j) {
+		local = append(local, j)
+	}
 	c.mu.Unlock()
+	c.m.fallBack(local...)
 }
 
-// enqueueLocked (re)routes a job after a failover or an unhealthy-queue
-// drain: next healthy worker in ring order, ignoring queue bounds (the job
-// was already admitted — failover must not shed it), or local compute when
-// the fleet is gone or the job has bounced too often.
-func (c *Coordinator) enqueueLocked(cj *clusterJob) {
-	cj.mu.Lock()
-	cj.dispatches++
-	bounced := cj.dispatches > c.maxDispatchesPerJob()
-	cj.mu.Unlock()
+// rerouteLocked sends an admitted job back through routing after a failover
+// or an unhealthy-queue drain, counting one requeue: the next dispatchable
+// worker in ring order, ignoring queue bounds (the job was already admitted
+// — failover must not shed it). It reports true when the job must fall back
+// to local compute instead, because the fleet is gone or the job has
+// bounced too often; the caller hands it to the Manager once c.mu is
+// released. A job cancelled while queued is dropped.
+func (c *Coordinator) rerouteLocked(j *Job) (local bool) {
+	j.mu.Lock()
+	if j.state != JobQueued && j.state != JobRunning {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = JobQueued
+	j.cancel = nil
+	j.requeues++
+	bounced := j.requeues >= c.maxDispatchesPerJob()
+	j.mu.Unlock()
 	if bounced {
-		c.localFallbackLocked(cj, "job exceeded the dispatch bound")
-		return
+		c.log.Warn("cluster: job exceeded the dispatch bound", "job", j.ID)
+		return true
 	}
-	for _, addr := range c.ring.Order(cj.Key) {
+	for _, addr := range c.ring.Order(j.Key) {
 		if c.health[addr].dispatchable() {
-			c.queues[addr] = append(c.queues[addr], cj)
+			c.queues[addr] = append(c.queues[addr], j)
 			c.cond.Broadcast()
-			return
+			return false
 		}
 	}
-	c.localFallbackLocked(cj, "no healthy workers")
-}
-
-// localFallbackLocked degrades one job to a local compute on the
-// coordinator's own Manager. Called with c.mu held.
-func (c *Coordinator) localFallbackLocked(cj *clusterJob, why string) {
-	c.srv.metrics.ClusterLocalFallback()
-	c.log.Warn("cluster: degrading to local compute", "job", cj.ID, "reason", why)
-	c.wg.Add(1)
-	go c.runLocal(cj)
-}
-
-// runLocal executes a cluster job on the coordinator's own Manager —
-// single-node degradation. If the coordinator shuts down first, the waiter
-// is released with 503 while the Manager's drain checkpoints the job.
-func (c *Coordinator) runLocal(cj *clusterJob) {
-	defer c.wg.Done()
-	cj.markRunning("local")
-	job, _, err := c.srv.manager.Submit(cj.req, cj.inst, cj.instName, cj.instHash, cj.Key)
-	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, errDraining):
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, errQueueFull):
-			code = http.StatusTooManyRequests
-		}
-		c.finishJob(cj, code, nil, err.Error(), "")
-		return
-	}
-	select {
-	case <-job.Done():
-		code, body, msg := job.Result()
-		c.finishJob(cj, code, body, msg, job.ID)
-	case <-c.baseCtx.Done():
-		c.finishJob(cj, http.StatusServiceUnavailable, nil,
-			"coordinator draining; local job "+job.ID+" is checkpointed", job.ID)
-	}
-}
-
-// finishJob finalizes a cluster job and releases its singleflight slot.
-func (c *Coordinator) finishJob(cj *clusterJob, code int, body []byte, errMsg, remoteJob string) {
-	cj.finish(code, body, errMsg, remoteJob)
-	c.mu.Lock()
-	if c.inflight[cj.Key] == cj {
-		delete(c.inflight, cj.Key)
-	}
-	c.mu.Unlock()
-	state := JobDone
-	if code != http.StatusOK {
-		state = JobFailed
-	}
-	c.srv.metrics.JobFinished(state)
+	return true
 }
 
 // prober is one worker's heartbeat loop.
@@ -777,7 +574,6 @@ func (c *Coordinator) probe(addr string) error {
 // probe sequence reproduces the exact breaker history.
 func (c *Coordinator) noteProbe(addr string, probeErr error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	h := c.health[addr]
 	h.lastProbe = time.Now()
 	if probeErr == nil {
@@ -793,35 +589,43 @@ func (c *Coordinator) noteProbe(addr string, probeErr error) {
 			c.log.Info("cluster: worker recovered", "worker", addr)
 			c.cond.Broadcast()
 		}
+		c.mu.Unlock()
 		return
 	}
 	h.fails++
 	h.lastErr = probeErr.Error()
+	var local []*Job
 	switch {
 	case h.breaker == breakerHalfOpen:
-		c.tripBreakerLocked(addr, fmt.Errorf("heartbeat failed during half-open trial: %w", probeErr))
+		local = c.tripBreakerLocked(addr, fmt.Errorf("heartbeat failed during half-open trial: %w", probeErr))
 	case h.breaker == breakerClosed && h.fails >= c.cfg.FailThreshold:
-		c.tripBreakerLocked(addr, fmt.Errorf("heartbeat: %d consecutive failures: %w", h.fails, probeErr))
+		local = c.tripBreakerLocked(addr, fmt.Errorf("heartbeat: %d consecutive failures: %w", h.fails, probeErr))
 	}
+	c.mu.Unlock()
+	c.m.fallBack(local...)
 }
 
 // tripBreakerLocked opens a worker's breaker (from closed or half-open),
-// taking it out of rotation and rerouting its queued jobs. Called with c.mu
-// held.
-func (c *Coordinator) tripBreakerLocked(addr string, cause error) {
+// taking it out of rotation and rerouting its queued jobs. It returns the
+// jobs that must fall back to local compute, for the caller to hand to the
+// Manager once c.mu is released. Called with c.mu held.
+func (c *Coordinator) tripBreakerLocked(addr string, cause error) (local []*Job) {
 	h := c.health[addr]
 	h.lastErr = cause.Error()
 	if h.breaker == breakerOpen {
-		return
+		return nil
 	}
 	h.breaker = breakerOpen
 	c.log.Warn("cluster: breaker open; worker out of rotation", "worker", addr, "err", cause)
 	q := c.queues[addr]
 	c.queues[addr] = nil
-	for _, cj := range q {
-		c.enqueueLocked(cj)
+	for _, j := range q {
+		if c.rerouteLocked(j) {
+			local = append(local, j)
+		}
 	}
 	c.cond.Broadcast()
+	return local
 }
 
 // WorkerStatus is one row of the GET /v1/cluster document. Healthy means
@@ -850,16 +654,16 @@ type ClusterStatus struct {
 // Status snapshots the cluster view. Its counters are the /metrics
 // registry's, so both surfaces report one number.
 func (c *Coordinator) Status() ClusterStatus {
-	m := c.srv.metrics
+	m := c.m.metrics
 	st := ClusterStatus{
 		Mode:           "coordinator",
 		Steals:         m.steals.get(),
 		Failovers:      m.failovers.get(),
 		LocalFallbacks: m.localFallbacks.get(),
+		Jobs:           len(c.m.Jobs()),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st.Jobs = len(c.jobs)
 	for _, addr := range c.ring.Nodes() {
 		h := c.health[addr]
 		st.Workers = append(st.Workers, WorkerStatus{

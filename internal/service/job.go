@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"path/filepath"
@@ -84,8 +85,14 @@ type Job struct {
 	lastBeat time.Time //hglint:guardedby mu
 	// kicked marks that the watchdog cancelled this run for lack of progress;
 	// cancelled() turns that into a requeue (bounded by requeues) or a 500.
-	kicked   bool //hglint:guardedby mu
-	requeues int  //hglint:guardedby mu
+	kicked bool //hglint:guardedby mu
+	// requeues counts watchdog requeues and, on a coordinator, re-routes
+	// after a failed dispatch.
+	requeues int //hglint:guardedby mu
+	// worker and remoteJob name, on a coordinator, the node executing (or
+	// that executed) the job and its job id there; see JobStatus.
+	worker    string //hglint:guardedby mu
+	remoteJob string //hglint:guardedby mu
 
 	done chan struct{}
 }
@@ -108,8 +115,8 @@ type JobStatus struct {
 	ElapsedMS int64     `json:"elapsed_ms"`
 	Error     string    `json:"error,omitempty"`
 	// Worker and RemoteJob are set on coordinator job views: the node that
-	// executed (or is executing) the job — "local" for single-node
-	// degradation — and its job id there.
+	// executed (or is executing) the job and its job id there. A local
+	// fallback (single-node degradation) reads "local" and the job's own id.
 	Worker    string `json:"worker,omitempty"`
 	RemoteJob string `json:"remote_job,omitempty"`
 	// Report is the deterministic result document, present once State is
@@ -133,6 +140,8 @@ func (j *Job) Status() JobStatus {
 		Resumed:   j.resumed,
 		Requeues:  j.requeues,
 		Error:     j.errMsg,
+		Worker:    j.worker,
+		RemoteJob: j.remoteJob,
 	}
 	if len(j.bsf) > 0 {
 		cut := j.bsfCut
@@ -248,12 +257,18 @@ func (q *jobPQ) Pop() any {
 // lifecycle. Submissions coalesce by cache key: a second identical request
 // while the first is queued or running joins the existing job (the
 // singleflight the acceptance test verifies).
+//
+// On a coordinator the Manager still owns every job; where a job executes
+// is a routing choice: a worker's dispatch queue, or this node's own pool
+// as a local fallback when no worker is dispatchable.
 type Manager struct {
 	// cfg is the normalized server configuration (see New).
 	cfg     Config
 	cache   *Cache
 	metrics *Metrics
 	log     *slog.Logger
+	// cluster routes jobs to the worker fleet; nil off a coordinator.
+	cluster *Coordinator
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -277,8 +292,9 @@ var errDraining = fmt.Errorf("service is draining; retry against another instanc
 // errQueueFull rejects submissions beyond the queue bound.
 var errQueueFull = fmt.Errorf("job queue is full; retry later or lower the request rate")
 
-// newManager starts the worker pool and, when StuckAfter is set, the
-// watchdog that reclaims runs which stop making progress.
+// newManager starts the worker pool, the coordinator when cfg.Cluster names
+// workers, and, when StuckAfter is set, the watchdog that reclaims runs
+// which stop making progress.
 func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *Manager {
 	m := &Manager{
 		cfg:      cfg,
@@ -290,6 +306,9 @@ func newManager(cfg Config, cache *Cache, metrics *Metrics, log *slog.Logger) *M
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
+	if len(cfg.Cluster.Workers) > 0 {
+		m.cluster = newCoordinator(cfg.Cluster, m)
+	}
 	for w := 0; w < m.cfg.Workers; w++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -352,7 +371,8 @@ func (m *Manager) watchdog() {
 // Submit enqueues a job for req (already normalized, validated and
 // resolved). If an identical request (same cache key) is already queued or
 // running, the existing job is returned with coalesced = true and nothing
-// new is enqueued.
+// new is enqueued. On a coordinator the job is routed to a worker's
+// dispatch queue, or to the local pool when no worker is dispatchable.
 func (m *Manager) Submit(req PartitionRequest, inst *hypergraph.Hypergraph,
 	instName, instHash, key string) (*Job, bool, error) {
 	m.mu.Lock()
@@ -363,14 +383,16 @@ func (m *Manager) Submit(req PartitionRequest, inst *hypergraph.Hypergraph,
 	if j, ok := m.inflight[key]; ok {
 		return j, true, nil
 	}
-	if m.cfg.QueueCap > 0 && len(m.pq) >= m.cfg.QueueCap {
-		return nil, false, errQueueFull
+	// The id prefix is fixed per node: "c-" on a coordinator, "j-" otherwise.
+	prefix := "j-"
+	if m.cluster != nil {
+		prefix = "c-"
 	}
-	m.nextSeq++
+	seq := m.nextSeq + 1
 	j := &Job{
-		ID:       fmt.Sprintf("j-%06d", m.nextSeq),
+		ID:       fmt.Sprintf("%s%06d", prefix, seq),
 		Key:      key,
-		seq:      m.nextSeq,
+		seq:      seq,
 		req:      req,
 		inst:     inst,
 		instName: instName,
@@ -379,14 +401,64 @@ func (m *Manager) Submit(req PartitionRequest, inst *hypergraph.Hypergraph,
 		enqueued: time.Now(),
 		done:     make(chan struct{}),
 	}
+	local := true
+	var err error
+	if m.cluster != nil {
+		local, err = m.cluster.route(j)
+	}
+	if local && err == nil {
+		err = m.enqueueLocked(j)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	m.nextSeq = seq
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.inflight[key] = j
-	heap.Push(&m.pq, j)
 	m.pruneLocked()
 	m.metrics.JobSubmitted()
-	m.cond.Signal()
 	return j, false, nil
+}
+
+// enqueueLocked puts j on the local pool's priority queue, within QueueCap.
+// On a coordinator this is the local fallback: the job keeps its id and
+// registry entry and names this node as the one computing it.
+func (m *Manager) enqueueLocked(j *Job) error {
+	if m.cfg.QueueCap > 0 && len(m.pq) >= m.cfg.QueueCap {
+		return errQueueFull
+	}
+	if m.cluster != nil {
+		j.mu.Lock()
+		j.worker, j.remoteJob = "local", j.ID
+		j.mu.Unlock()
+		m.metrics.ClusterLocalFallback()
+		m.log.Warn("cluster: degrading to local compute", "job", j.ID)
+	}
+	heap.Push(&m.pq, j)
+	m.cond.Signal()
+	return nil
+}
+
+// fallBack moves admitted coordinator jobs the fleet can no longer take
+// onto the local pool. A draining pool cancels them like queued jobs; a
+// full queue fails them with 429. Called without the Coordinator's lock,
+// which orders after the Manager's.
+func (m *Manager) fallBack(jobs ...*Job) {
+	for _, j := range jobs {
+		m.mu.Lock()
+		err := errDraining
+		if !m.draining && !m.closed {
+			err = m.enqueueLocked(j)
+		}
+		m.mu.Unlock()
+		switch {
+		case errors.Is(err, errDraining):
+			m.cancelQueued(j, 503, drainQueuedMsg)
+		case err != nil:
+			m.fail(j, 429, err.Error())
+		}
+	}
 }
 
 // Job looks a job up by id.
@@ -432,9 +504,10 @@ func (m *Manager) Running() int {
 	return m.running
 }
 
-// Cancel cancels a job: a queued job terminates immediately (workers skip
-// it), a running job has its context cancelled and finishes as canceled
-// with partial starts checkpointed (if checkpointing is on).
+// Cancel cancels a job: a queued job terminates immediately (workers and
+// dispatchers skip it), a running job has its context cancelled and
+// finishes as canceled — a local run with partial starts checkpointed (if
+// checkpointing is on), a dispatch with its RPC abandoned.
 func (m *Manager) Cancel(id string) bool {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -448,10 +521,7 @@ func (m *Manager) Cancel(id string) bool {
 	j.mu.Unlock()
 	switch state {
 	case JobQueued:
-		m.removeInflight(j.Key)
-		j.finish(JobCanceled, 409, nil, "job cancelled while queued")
-		m.metrics.JobFinished(JobCanceled)
-		return true
+		return m.cancelQueued(j, 409, "job cancelled while queued")
 	case JobRunning:
 		if cancel != nil {
 			cancel()
@@ -474,19 +544,19 @@ func (m *Manager) Drain(ctx context.Context) error {
 		return nil
 	}
 	m.draining = true
-	// Queued jobs never started: cancel them outright.
-	for _, j := range m.pq {
-		j.mu.Lock()
-		queued := j.state == JobQueued
-		j.mu.Unlock()
-		if queued {
-			delete(m.inflight, j.Key)
-			j.finish(JobCanceled, 503, nil, "service draining before the job started")
-			m.metrics.JobFinished(JobCanceled)
-		}
-	}
+	queued := m.pq
 	m.pq = nil
 	m.mu.Unlock()
+
+	// Queued jobs never started: cancel them outright. The coordinator's
+	// dispatch queues drain the same way, and its in-flight dispatches are
+	// interrupted.
+	for _, j := range queued {
+		m.cancelQueued(j, 503, drainQueuedMsg)
+	}
+	if m.cluster != nil {
+		m.cluster.Close()
+	}
 
 	// Running jobs: cancel their contexts; RunMultistart stops dispatching
 	// and the checkpoint journal retains every completed start.
@@ -526,6 +596,9 @@ func (m *Manager) Close() {
 	m.closed = true
 	m.cond.Broadcast()
 	m.mu.Unlock()
+	if m.cluster != nil {
+		m.cluster.Close()
+	}
 	m.baseCancel()
 	m.wg.Wait()
 }
@@ -534,6 +607,24 @@ func (m *Manager) removeInflight(key string) {
 	m.mu.Lock()
 	delete(m.inflight, key)
 	m.mu.Unlock()
+}
+
+// drainQueuedMsg is the error of a job a drain cancels before it started.
+const drainQueuedMsg = "service draining before the job started"
+
+// cancelQueued ends a job that never started with JobCanceled and code. It
+// reports false when the job has already left the queued state.
+func (m *Manager) cancelQueued(j *Job, code int, msg string) bool {
+	j.mu.Lock()
+	queued := j.state == JobQueued
+	j.mu.Unlock()
+	if !queued {
+		return false
+	}
+	m.removeInflight(j.Key)
+	j.finish(JobCanceled, code, nil, msg)
+	m.metrics.JobFinished(JobCanceled)
+	return true
 }
 
 // requeue puts a watchdog-kicked job back on the queue for another attempt.

@@ -172,13 +172,14 @@ func New(cfg Config) *Server {
 		cache:   NewCache(cfg.CacheEntries, cfg.CacheBytes),
 		metrics: NewMetrics(),
 	}
-	s.manager = newManager(cfg, s.cache, s.metrics, log)
 	// A chaos transport reports each injected fault into /metrics; wire the
 	// hook before any coordinator or peer client can send a request.
 	if ct, ok := cfg.Transport.(*chaos.Transport); ok {
 		metrics := s.metrics
 		ct.SetOnFault(func(r chaos.Rule) { metrics.NetFaultInjected(r.Fault.String()) })
 	}
+	s.manager = newManager(cfg, s.cache, s.metrics, log)
+	s.cluster = s.manager.cluster
 	if len(cfg.Peers) > 0 {
 		s.peers = NewPeerSet(cfg.Peers, cfg.PeerTimeout, cfg.Transport, s.metrics, log)
 	}
@@ -194,9 +195,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
 	s.mux.HandleFunc("GET /internal/v1/cache/{key}", s.instrument("peer_cache", s.handlePeerCache))
-	if len(cfg.Cluster.Workers) > 0 {
-		s.cluster = newCoordinator(cfg.Cluster, s)
-	}
 	s.ready.Store(true)
 	return s
 }
@@ -220,9 +218,6 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 func (s *Server) Drain(ctx context.Context) error {
 	s.ready.Store(false)
 	s.log.Info("drain: readiness flipped, stopping job intake")
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
 	err := s.manager.Drain(ctx)
 	if err != nil {
 		s.log.Error("drain: incomplete", "err", err)
@@ -235,9 +230,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close tears the worker pool down without drain semantics (tests).
 func (s *Server) Close() {
 	s.ready.Store(false)
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
 	s.manager.Close()
 }
 
@@ -450,15 +442,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Coordinator mode: route into the fleet instead of the local pool.
-	if s.cluster != nil {
-		s.serveCluster(w, r, req, h, instName, instHash, key)
-		return
-	}
-
 	// Worker mode: a sibling may already hold these exact bytes. Any peer
-	// failure falls through to a local compute.
-	if s.peers != nil {
+	// failure falls through to a local compute. A coordinator routes into
+	// its fleet instead.
+	if s.peers != nil && s.cluster == nil {
 		if body, ok := s.peers.Lookup(r.Context(), key); ok {
 			s.cache.Put(key, body)
 			s.writeReport(w, body, "peer", "")
@@ -468,7 +455,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	job, coalesced, err := s.manager.Submit(req, h, instName, instHash, key)
 	switch {
-	case errors.Is(err, errDraining):
+	case errors.Is(err, errDraining), errors.Is(err, errClusterBusy):
 		errorBody(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, errQueueFull):
@@ -522,7 +509,11 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, code, errMsg)
 		return
 	}
-	s.writeReport(w, reportBytes, flightLabel(coalesced), job.ID)
+	disposition := flightLabel(coalesced)
+	if s.cluster != nil && job.Status().Worker == "local" {
+		disposition = "local-fallback"
+	}
+	s.writeReport(w, reportBytes, disposition, job.ID)
 }
 
 func flightLabel(coalesced bool) string {
@@ -530,59 +521,6 @@ func flightLabel(coalesced bool) string {
 		return "coalesced"
 	}
 	return "miss"
-}
-
-// serveCluster is handlePartition's coordinator-mode tail: submit to the
-// Coordinator (singleflight by cache key, like Manager), then either return
-// the async handle or wait. A waiting client that goes away detaches with
-// 499 while the cluster job keeps running and fills the cache — the same
-// waiter discipline as the single-node path.
-func (s *Server) serveCluster(w http.ResponseWriter, r *http.Request,
-	req PartitionRequest, h *hypergraph.Hypergraph, instName, instHash, key string) {
-	cj, coalesced, err := s.cluster.Submit(req, h, instName, instHash, key)
-	switch {
-	case errors.Is(err, errDraining):
-		errorBody(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, errClusterBusy):
-		errorBody(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		errorBody(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if coalesced {
-		s.cache.Coalesced()
-	} else {
-		s.cache.Miss()
-	}
-
-	if req.Async {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Hgserved-Cache", flightLabel(coalesced))
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]string{
-			"job": cj.ID, "cache_key": key, "status": "/v1/jobs/" + cj.ID,
-		})
-		return
-	}
-
-	select {
-	case <-cj.Done():
-	case <-r.Context().Done():
-		errorBody(w, 499, "client closed request; job "+cj.ID+" continues")
-		return
-	}
-	code, reportBytes, errMsg := cj.Result()
-	if code != http.StatusOK {
-		errorBody(w, code, errMsg)
-		return
-	}
-	disposition := flightLabel(coalesced)
-	if st := cj.Status(); st.Worker == "local" {
-		disposition = "local-fallback"
-	}
-	s.writeReport(w, reportBytes, disposition, cj.ID)
 }
 
 // handleCluster reports the coordinator's fleet view; a non-coordinator
@@ -629,15 +567,7 @@ func (s *Server) writeReport(w http.ResponseWriter, body []byte, disposition, jo
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.cluster != nil {
-		if cj, ok := s.cluster.Job(id); ok {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(cj.Status())
-			return
-		}
-	}
-	j, ok := s.manager.Job(id)
+	j, ok := s.manager.Job(r.PathValue("id"))
 	if !ok {
 		errorBody(w, http.StatusNotFound, "no such job")
 		return
@@ -668,13 +598,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		st.Report = nil // list view stays light; fetch the job for the report
 		st.BSF = nil
 		out = append(out, st)
-	}
-	if s.cluster != nil {
-		for _, cj := range s.cluster.Jobs() {
-			st := cj.Status()
-			st.Report = nil
-			out = append(out, st)
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
