@@ -126,14 +126,17 @@ portfolio-smoke:
 # Determinism stress run: the bit-identity and run-to-run determinism tests
 # (optimized vs frozen reference FM, both rollback routes, engine rebind,
 # Build/Contract vs their references, multistart worker counts, the CLI's
-# worker-count and -impl invariance, the served hit path's byte identity
+# worker-count and -impl invariance, plain hgpart against -workers 1 and 4,
+# a resumed CLI run against an uninterrupted one, the sequential multistart
+# against the parallel one, a fixed-engine served report against Bisect, the
+# served hit path's byte identity
 # with and without the body-digest memo, the coordinator job lifecycle:
 # count-once local fallback, cancel, drain and first-dispatch requeues)
 # repeated 20 times, so a schedule- or state-dependent result that only
 # sometimes shows is caught.
 # Budgeted multi-worker runs are left out: their completed-start count still
 # depends on scheduling (ROADMAP).
-FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestImplEquivalence|TestRunToRunDeterminism|TestBodyMemoMatchesFullPath|TestBodyMemoBoundedUnderFlood|TestClusterLocalFallbackCountsOnce|TestClusterCancelQueuedAndInFlight|TestClusterDrainCancelsDispatchQueue|TestClusterFirstDispatchCountsZeroRequeues)
+FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestPlainMatchesWorkers|TestResumeMatchesUninterrupted|TestMultistartMatchesRunMultistart|TestFixedReportMatchesBisect|TestImplEquivalence|TestRunToRunDeterminism|TestBodyMemoMatchesFullPath|TestBodyMemoBoundedUnderFlood|TestClusterLocalFallbackCountsOnce|TestClusterCancelQueuedAndInFlight|TestClusterDrainCancelsDispatchQueue|TestClusterFirstDispatchCountsZeroRequeues)
 flake-sweep:
 	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/core ./internal/hypergraph ./internal/multilevel ./internal/eval ./internal/service ./cmd/hgpart
 

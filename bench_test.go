@@ -202,8 +202,7 @@ func figureSamples(b *testing.B, h *hypergraph.Hypergraph) map[string][]eval.Out
 		eval.NewFlat("flat-CLIP", h, core.StrongConfig(true), bal, r.Split()),
 		eval.NewML("ML", h, multilevel.Config{Refine: core.StrongConfig(false)}, bal, 0),
 	} {
-		samples, _ := eval.Multistart(heur, 12, r.Split())
-		out[heur.Name()] = samples
+		out[heur.Name()] = eval.Multistart(context.Background(), heur, 12, r.Split(), nil).Outcomes()
 	}
 	return out
 }

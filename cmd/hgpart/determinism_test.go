@@ -87,6 +87,54 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// Plain hgpart is the multistart harness at GOMAXPROCS workers: with no
+// -workers flag it must print what -workers 1 and -workers 4 print, for
+// every 2-way engine.
+func TestPlainMatchesWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hgpart binary")
+	}
+	for _, engine := range []string{"ml", "flat", "clip"} {
+		for _, seed := range []string{"1", "7", "13"} {
+			args := []string{"-engine", engine, "-ibm", "1", "-scale", "0.1", "-starts", "4", "-seed", seed, "-q"}
+			plain := runHgpart(t, args...)
+			for _, workers := range []string{"1", "4"} {
+				if got := runHgpart(t, append(args, "-workers", workers)...); got != plain {
+					t.Errorf("engine %s seed %s: plain and -workers %s reports differ\n--- plain ---\n%s--- workers=%s ---\n%s",
+						engine, seed, workers, plain, workers, got)
+				}
+			}
+		}
+	}
+}
+
+// A run resumed from a fully journaled checkpoint reports what the
+// uninterrupted run reported: the finish step recovers the best start's
+// partition from the journal and polishes it the same way.
+func TestResumeMatchesUninterrupted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hgpart binary")
+	}
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	args := []string{"-ibm", "1", "-scale", "0.1", "-starts", "6", "-seed", "7", "-q", "-checkpoint", journal}
+	full := runHgpart(t, args...)
+	if resumed := runHgpart(t, append(args, "-resume")...); resumed != full {
+		t.Errorf("resumed report differs from the uninterrupted one\n--- full ---\n%s--- resumed ---\n%s", full, resumed)
+	}
+}
+
+// -work-budget bounds the fixed-engine multistart too: with one worker the
+// first start already spends the budget of 1, so the other seven are skipped.
+func TestWorkBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hgpart binary")
+	}
+	out := runHgpart(t, "-ibm", "1", "-scale", "0.1", "-starts", "8", "-workers", "1", "-work-budget", "1", "-q")
+	if !strings.Contains(out, "ok=1 failed=0 skipped=7 ") || !strings.Contains(out, "incomplete=work budget exhausted") {
+		t.Fatalf("budgeted run did not stop after one start:\n%s", out)
+	}
+}
+
 func TestRunToRunDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the hgpart binary")

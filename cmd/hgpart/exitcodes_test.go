@@ -32,9 +32,8 @@ func TestExitCodeUsage(t *testing.T) {
 		{},                                      // no input at all
 		{"-ibm", "1", "-engine", "quantum"},     // unknown engine
 		{"-in", "/nonexistent/never.hgr", "-q"}, // unreadable input
-		{"-ibm", "1", "-scale", "0.02", "-starts", "-1"},                   // negative starts (plain path)
-		{"-ibm", "1", "-scale", "0.02", "-starts", "0", "-portfolio"},      // zero starts (portfolio)
-		{"-ibm", "1", "-scale", "0.02", "-starts", "-1", "-timeout", "1s"}, // negative starts (robust harness)
+		{"-ibm", "1", "-scale", "0.02", "-starts", "-1"},              // negative starts
+		{"-ibm", "1", "-scale", "0.02", "-starts", "0", "-portfolio"}, // zero starts (portfolio)
 	}
 	for _, args := range cases {
 		if code, out := runForExit(t, args...); code != 2 {
@@ -56,6 +55,11 @@ func TestExitCodeUsage(t *testing.T) {
 		{"-workers", []string{"-workers", "-2"}},
 		{"-timeout", []string{"-timeout", "-1s"}},
 		{"-engine", []string{"-k", "3", "-engine", "bogus"}},
+		{"-work-budget", []string{"-work-budget", "-1"}},
+		// A work budget bounds a multistart; these paths run none.
+		{"-work-budget", []string{"-work-budget", "1", "-k", "3"}},
+		{"-work-budget", []string{"-work-budget", "1", "-engine", "spectral"}},
+		{"-work-budget", []string{"-work-budget", "1", "-engine", "flat", "-trace", "/nonexistent/trace.csv"}},
 	} {
 		args := append([]string{"-ibm", "1", "-scale", "0.02", "-q"}, c.args...)
 		code, out := runForExit(t, args...)
@@ -125,14 +129,14 @@ func TestOutputAssignment(t *testing.T) {
 		t.Fatalf("degenerate assignment: %d zeros, %d ones", zeros, ones)
 	}
 
-	// The robust-harness path writes a worker-count-invariant file: the same
-	// seed yields byte-identical assignments at -workers 1 and 2.
-	robust := func(name string, workers string) string {
+	// The assignment file is worker-count invariant: the same seed yields
+	// byte-identical assignments at -workers 1 and 2.
+	assign := func(name string, workers string) string {
 		f := filepath.Join(dir, name)
 		code, out := runForExit(t, "-ibm", "1", "-scale", "0.1", "-engine", "flat",
 			"-starts", "2", "-q", "-workers", workers, "-o", f)
 		if code != 0 {
-			t.Fatalf("robust path (workers=%s) exit %d\n%s", workers, code, out)
+			t.Fatalf("workers=%s: exit %d\n%s", workers, code, out)
 		}
 		b, err := os.ReadFile(f)
 		if err != nil {
@@ -140,8 +144,8 @@ func TestOutputAssignment(t *testing.T) {
 		}
 		return string(b)
 	}
-	if robust("w1.part", "1") != robust("w2.part", "2") {
-		t.Fatal("robust assignment differs across worker counts")
+	if assign("w1.part", "1") != assign("w2.part", "2") {
+		t.Fatal("assignment differs across worker counts")
 	}
 
 	// k-way assignments carry part ids for every vertex.

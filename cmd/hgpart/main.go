@@ -7,11 +7,13 @@
 //	hgpart -in ibm01.netD -are ibm01.are -engine flat -tol 0.10
 //	hgpart -ibm 1 -scale 0.2 -engine clip
 //
-// Long multistart runs can be made fault tolerant: -timeout bounds the run
-// (partial results are reported, not discarded), -checkpoint journals every
-// completed start so -resume continues an interrupted run with identical
-// statistics, -retries reseeds failed starts, and -check-invariants verifies
-// every partition against a from-scratch recomputation:
+// Every 2-way ml/flat/clip run goes through the multistart harness, so long
+// runs can be made fault tolerant: -timeout bounds the run's wall clock and
+// -work-budget its deterministic work (partial results are reported, not
+// discarded), -checkpoint journals every completed start so -resume
+// continues an interrupted run with an identical report, -retries reseeds
+// failed starts, and -check-invariants verifies every partition against a
+// from-scratch recomputation:
 //
 //	hgpart -ibm 18 -starts 100 -timeout 2m -checkpoint run.jsonl
 //	hgpart -ibm 18 -starts 100 -checkpoint run.jsonl -resume
@@ -66,7 +68,7 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress instance statistics")
 
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget; undone starts are skipped, partial results reported")
-		workers    = flag.Int("workers", 0, "concurrent starts (robust harness; 0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "concurrent starts (0 = GOMAXPROCS); the report is the same for every value")
 		checkpoint = flag.String("checkpoint", "", "journal completed starts to this JSONL file")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint instead of starting over")
 		retries    = flag.Int("retries", 0, "retry a failed start up to this many times with a reseeded generator")
@@ -100,15 +102,8 @@ func main() {
 	if *timeout < 0 {
 		fatalUsage(fmt.Errorf("-timeout %v must be >= 0 (0 = no budget)", *timeout))
 	}
-	var kind hgpart.EngineKind
 	switch *engine {
-	case "ml":
-		kind = hgpart.EngineML
-	case "flat":
-		kind = hgpart.EngineFlatFM
-	case "clip":
-		kind = hgpart.EngineFlatCLIP
-	case "spectral": // no FM engine kind: SpectralBisect runs below
+	case "ml", "flat", "clip", "spectral":
 	default:
 		fatalUsage(fmt.Errorf("-engine %q must be ml, flat, clip or spectral", *engine))
 	}
@@ -130,6 +125,9 @@ func main() {
 	}
 	if *usePortfolio && *k > 2 {
 		fatalUsage(fmt.Errorf("-portfolio supports bisection only (-k 2)"))
+	}
+	if *workBudget > 0 && (*k > 2 || *engine == "spectral" || *traceTo != "") {
+		fatalUsage(fmt.Errorf("-work-budget bounds a multistart: not with -k > 2, -engine spectral or -trace"))
 	}
 
 	h, err := loadInstance(*inPath, *arePath, *ibm, *scale, *seed)
@@ -174,42 +172,19 @@ func main() {
 		return
 	}
 
-	if *timeout > 0 || *workers != 0 || *checkpoint != "" || *retries > 0 || *checkInv {
-		runRobust(h, bal, *engine, *starts, *vcycles, *seed,
-			*timeout, *workers, *checkpoint, *resume, *retries, *checkInv, reference, *outPath)
-		return
-	}
-
-	t0 := time.Now()
-	p, res, err := hgpart.Bisect(h, hgpart.BisectOptions{
-		Tolerance:     *tol,
-		Starts:        *starts,
-		VCycles:       *vcycles,
-		Engine:        kind,
-		Seed:          *seed,
-		ReferenceImpl: reference,
-	})
-	if err != nil {
-		// The only Bisect failure reachable from validated flags is an
-		// infeasible balance: no start produced a legal partition.
-		fatalInfeasible(err)
-	}
-	checkLegal(p, bal)
-	elapsed := time.Since(t0)
-
-	fmt.Printf("engine=%s starts=%d tolerance=%.3f\n", *engine, *starts, *tol)
-	fmt.Printf("cut=%d\n", res.Cut)
-	printSides(p, total)
-	fmt.Printf("time=%.3fs work=%d (normalized %.3fs)\n",
-		elapsed.Seconds(), res.Work, float64(res.Work)/2e6)
-	writeSides(*outPath, h.NumVertices(), p)
+	runMultistart(h, bal, *engine, *starts, *vcycles, *seed, *timeout, *workers, *workBudget,
+		*checkpoint, *resume, *retries, *checkInv, reference, *outPath)
 }
 
-// runRobust runs the multistart through the fault-tolerant harness:
-// wall-clock budget, parallel workers, panic isolation with optional retries,
-// invariant verification and checkpoint/resume.
-func runRobust(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, vcycles int,
-	seed uint64, timeout time.Duration, workers int, checkpointPath string, resume bool,
+// runMultistart is the 2-way ml/flat/clip path: the multistart harness
+// (parallel workers, wall-clock and work budgets, panic isolation with
+// optional retries, invariant verification, checkpoint/resume), then the
+// harness's finish step. Everything printed to stdout except the workers=
+// echo and the time= line is a pure function of the instance and flags, and
+// matches hgpart.Bisect and a fixed-engine hgserved request with the same
+// seed and starts.
+func runMultistart(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, vcycles int,
+	seed uint64, timeout time.Duration, workers int, workBudget int64, checkpointPath string, resume bool,
 	retries int, checkInv bool, reference bool, outPath string) {
 	cfg := hgpart.StrongFMConfig(engine == "clip")
 	cfg.CheckInvariants = checkInv
@@ -224,6 +199,7 @@ func runRobust(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, 
 	opt := hgpart.RunOptions{
 		Workers:    workers,
 		WallBudget: timeout,
+		WorkBudget: workBudget,
 		MaxRetries: retries,
 	}
 	if checkInv {
@@ -253,38 +229,16 @@ func runRobust(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, 
 	if rep.BestIdx < 0 {
 		fatalInfeasible(fmt.Errorf("no start succeeded"))
 	}
-	best := rep.Best
-	if best.P == nil && outPath != "" {
-		// The best start was loaded from the journal, which persists cuts but
-		// not partitions. -o needs the assignment, so deterministically
-		// recompute exactly that start.
-		o, err := hgpart.RerunStart(factory, seed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
-		if err != nil {
-			fatal(fmt.Errorf("recompute resumed best start %d: %w", rep.BestIdx, err))
-		}
-		if o.Cut != best.Cut {
-			fatal(fmt.Errorf("recomputed start %d cut %d != journaled %d (corrupt checkpoint?)",
-				rep.BestIdx, o.Cut, best.Cut))
-		}
-		best = o
+	best, err := hgpart.Finish(factory, seed, rep)
+	if err != nil {
+		fatal(err)
 	}
-	if best.P != nil {
-		// Polish the best solution the way the plain path does (ML V-cycles).
-		if polish := factory().PolishBest(best.P, hgpart.NewRNG(seed^0x9e3779b97f4a7c15)); polish.P != nil {
-			best = polish
-		}
-		checkLegal(best.P, bal)
-		fmt.Printf("cut=%d (best start %d)\n", best.P.Cut(), rep.BestIdx)
-		printSides(best.P, h.TotalVertexWeight())
-		writeSides(outPath, h.NumVertices(), best.P)
-	} else {
-		// The best start was loaded from the journal: its cut is known but
-		// its partition was not persisted.
-		fmt.Printf("cut=%d (best start %d, resumed from checkpoint; partition not retained)\n",
-			best.Cut, rep.BestIdx)
-	}
+	checkLegal(best.P, bal)
+	fmt.Printf("cut=%d (best start %d)\n", best.Cut, rep.BestIdx)
+	printSides(best.P, h.TotalVertexWeight())
+	writeSides(outPath, h.NumVertices(), best.P)
 	fmt.Printf("time=%.3fs work=%d (normalized %.3fs)\n",
-		time.Since(t0).Seconds(), rep.TotalWork, float64(rep.TotalWork)/2e6)
+		time.Since(t0).Seconds(), best.Work, float64(best.Work)/2e6)
 	if opt.Checkpoint != nil {
 		if err := opt.Checkpoint.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "hgpart: checkpoint journal error (resume may be unreliable): %v\n", err)

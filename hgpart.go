@@ -233,8 +233,12 @@ type BisectResult struct {
 	Work int64
 }
 
-// Bisect partitions h into two sides using the selected engine and
-// multistart regime, returning the best legal partition found.
+// Bisect partitions h into two sides with the selected engine: Starts
+// independent starts through the multistart harness on one worker, then the
+// harness's finish step (VCycles V-cycles on the best start for EngineML).
+// It computes what `hgpart -workers N` and a fixed-engine hgserved request
+// with the same seed and starts compute, so all three report the same
+// partition, cut and work.
 func Bisect(h *Hypergraph, opt BisectOptions) (*Partition, BisectResult, error) {
 	if opt.Tolerance <= 0 {
 		opt.Tolerance = 0.02
@@ -249,37 +253,37 @@ func Bisect(h *Hypergraph, opt BisectOptions) (*Partition, BisectResult, error) 
 		opt.VCycles = 1
 	}
 	bal := partition.NewBalance(h.TotalVertexWeight(), opt.Tolerance)
-	r := rng.New(opt.Seed)
+	cfg := core.StrongConfig(opt.Engine == EngineFlatCLIP)
+	cfg.ReferenceImpl = opt.ReferenceImpl
 
-	var heur eval.Heuristic
+	var factory func() eval.Heuristic
 	switch opt.Engine {
 	case EngineML:
-		refine := core.StrongConfig(false)
-		refine.ReferenceImpl = opt.ReferenceImpl
-		heur = eval.NewML("ML", h, multilevel.Config{Refine: refine}, bal, opt.VCycles)
-	case EngineFlatFM:
-		cfg := core.StrongConfig(false)
-		cfg.ReferenceImpl = opt.ReferenceImpl
-		heur = eval.NewFlat("flat-FM", h, cfg, bal, r.Split())
-	case EngineFlatCLIP:
-		cfg := core.StrongConfig(true)
-		cfg.ReferenceImpl = opt.ReferenceImpl
-		heur = eval.NewFlat("flat-CLIP", h, cfg, bal, r.Split())
+		factory = func() eval.Heuristic {
+			return eval.NewML("ML", h, multilevel.Config{Refine: cfg}, bal, opt.VCycles)
+		}
+	case EngineFlatFM, EngineFlatCLIP:
+		factory = func() eval.Heuristic { return eval.NewFlat("flat", h, cfg, bal, rng.New(opt.Seed)) }
 	default:
 		return nil, BisectResult{}, fmt.Errorf("hgpart: unknown engine %d", opt.Engine)
 	}
-	best, secs, work := eval.BestOfK(heur, opt.Starts, r)
-	if best.P == nil {
+	rep := eval.RunMultistart(context.Background(), factory, opt.Starts, opt.Seed, eval.RunOptions{Workers: 1})
+	if rep.BestIdx < 0 {
 		return nil, BisectResult{}, fmt.Errorf("hgpart: no legal partition found (tolerance %.3f may be infeasible)", opt.Tolerance)
 	}
-	return best.P, BisectResult{Cut: best.P.Cut(), Seconds: secs, Work: work}, nil
+	best, err := eval.Finish(factory, opt.Seed, rep)
+	if err != nil {
+		return nil, BisectResult{}, err
+	}
+	return best.P, BisectResult{Cut: best.Cut, Seconds: best.Seconds, Work: best.Work}, nil
 }
 
-// MultistartSamples runs n independent starts of heur and returns the
-// per-start outcomes plus the best one — the raw material for best-so-far
-// curves and significance tests.
+// MultistartSamples runs n independent starts of heur, start i seeded from
+// the i-th draw of r, and returns the successful starts' outcomes plus the
+// best one — the raw material for best-so-far curves and significance tests.
 func MultistartSamples(heur Heuristic, n int, r *RNG) ([]Outcome, Outcome) {
-	return eval.Multistart(heur, n, r)
+	rep := eval.Multistart(context.Background(), heur, n, r, nil)
+	return rep.Outcomes(), rep.Best
 }
 
 // NewFlatHeuristic wraps a flat FM configuration as a multistartable
@@ -303,13 +307,13 @@ func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed ui
 	return eval.RunMultistart(ctx, factory, n, seed, opt)
 }
 
-// RerunStart deterministically recomputes start i of an n-start multistart
-// run with the given root seed — e.g. to recover the partition of a best
-// start that was resumed from a checkpoint journal (which persists cuts,
-// not assignments). attempts is the Attempts count recorded for the start
-// (1 when it succeeded first try).
-func RerunStart(factory func() Heuristic, seed uint64, i, attempts int) (Outcome, error) {
-	return eval.RerunStart(factory, seed, i, attempts)
+// Finish is the multistart harness's finish step for a run rooted at seed:
+// it recovers a best start resumed from a checkpoint journal (recomputing
+// it and checking its cut), polishes the best with a heuristic from factory
+// seeded from seed, and returns the final outcome with the whole run's work,
+// polish included (see internal/eval.Finish).
+func Finish(factory func() Heuristic, seed uint64, rep *RunReport) (Outcome, error) {
+	return eval.Finish(factory, seed, rep)
 }
 
 // OpenCheckpoint opens (or, with resume, reloads) a JSONL start journal for

@@ -135,38 +135,16 @@ func (m *ML) PolishBest(p *partition.P, r *rng.RNG) Outcome {
 	return Outcome{P: p, Cut: cut, Seconds: time.Since(t0).Seconds(), Work: work}
 }
 
-// Multistart runs n independent starts of h and returns all outcomes
-// (without partitions, to bound memory) plus the best outcome with its
-// partition. Each start gets a generator split from r, so results are
-// reproducible from a single seed regardless of how many starts ran.
-//
-// Multistart is the plain, uncancellable convenience form of
-// MultistartRobust; callers running sweeps long enough to deserve a deadline
-// should use MultistartRobust directly.
-func Multistart(h Heuristic, n int, r *rng.RNG) (samples []Outcome, best Outcome) {
-	samples, best, _ = MultistartRobust(context.Background(), h, n, r, nil)
-	return samples, best
-}
-
 // BestOfK runs k starts, applies the heuristic's polish step to the best,
 // and returns the final best outcome plus the total cost of the whole
 // configuration (sum of all starts plus polish) — the quantity Tables 4/5
-// report as "average CPU time" per configuration.
+// report as "average CPU time" per configuration. The starts are
+// Multistart's, seeded from r; the polish draws its generator from r after
+// them.
 func BestOfK(h Heuristic, k int, r *rng.RNG) (best Outcome, totalSeconds float64, totalWork int64) {
-	samples, best := Multistart(h, k, r)
-	for _, s := range samples {
-		totalSeconds += s.Seconds
-		totalWork += s.Work
-	}
-	polish := h.PolishBest(best.P, r.Split())
-	if polish.P != nil {
-		totalSeconds += polish.Seconds
-		totalWork += polish.Work
-		best.Cut = polish.Cut
-	}
-	best.Seconds = totalSeconds
-	best.Work = totalWork
-	return best, totalSeconds, totalWork
+	rep := Multistart(context.Background(), h, k, r, nil)
+	best = polished(h, rep, rep.Best, r.Split())
+	return best, best.Seconds, best.Work
 }
 
 // ConfigurationPoint is one cell of a Table 4/5-style evaluation: a number

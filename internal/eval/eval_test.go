@@ -77,21 +77,22 @@ func TestMultistartBestIsMin(t *testing.T) {
 	h := instance(t)
 	bal := partition.NewBalance(h.TotalVertexWeight(), 0.10)
 	f := NewFlat("flat", h, core.StrongConfig(false), bal, rng.New(7))
-	samples, best := Multistart(f, 8, rng.New(8))
+	rep := Multistart(context.Background(), f, 8, rng.New(8), nil)
+	samples := rep.Outcomes()
 	if len(samples) != 8 {
 		t.Fatalf("%d samples", len(samples))
 	}
 	mn := samples[0].Cut
-	for _, s := range samples {
+	for i, s := range samples {
 		if s.Cut < mn {
 			mn = s.Cut
 		}
-		if s.P != nil {
-			t.Fatal("samples must not retain partitions")
+		if s.P != nil && i != rep.BestIdx {
+			t.Fatal("only the best sample may retain its partition")
 		}
 	}
-	if best.Cut != mn || best.P == nil {
-		t.Fatalf("best %d (min %d)", best.Cut, mn)
+	if rep.Best.Cut != mn || rep.Best.P == nil {
+		t.Fatalf("best %d (min %d)", rep.Best.Cut, mn)
 	}
 }
 
@@ -100,7 +101,7 @@ func TestMultistartDeterministic(t *testing.T) {
 	bal := partition.NewBalance(h.TotalVertexWeight(), 0.10)
 	run := func() []int64 {
 		f := NewFlat("flat", h, core.StrongConfig(false), bal, rng.New(9))
-		samples, _ := Multistart(f, 5, rng.New(10))
+		samples := Multistart(context.Background(), f, 5, rng.New(10), nil).Outcomes()
 		cuts := make([]int64, len(samples))
 		for i, s := range samples {
 			cuts[i] = s.Cut

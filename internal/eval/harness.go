@@ -165,6 +165,19 @@ type RunReport struct {
 	Elapsed time.Duration
 }
 
+// Outcomes returns the outcomes of the successful starts in start order:
+// the samples that min/average statistics and best-so-far curves are built
+// from. Only the best start's outcome keeps its partition.
+func (r *RunReport) Outcomes() []Outcome {
+	out := make([]Outcome, 0, r.Completed)
+	for _, sr := range r.Results {
+		if sr.Status == StartOK {
+			out = append(out, sr.Outcome)
+		}
+	}
+	return out
+}
+
 // Summary renders the aggregate statistics — min and mean cut over
 // successful starts plus status counts — in a stable format, so a
 // checkpointed-and-resumed run can be compared byte-for-byte against an
@@ -200,8 +213,12 @@ func (r *RunReport) Summary() string {
 // SplitMix64-style odd-constant mix so retried starts explore fresh
 // randomness without consulting any shared state.
 func attemptSeed(startSeed uint64, attempt int) uint64 {
-	return startSeed + uint64(attempt)*0x9e3779b97f4a7c15
+	return startSeed + uint64(attempt)*gamma
 }
+
+// gamma is the SplitMix64 odd constant. It offsets retry seeds (attemptSeed)
+// and the polish seed (Finish) from the start seeds.
+const gamma = 0x9e3779b97f4a7c15
 
 // VerifyOutcome returns the standard per-start verifier: the outcome must
 // carry a partition whose incremental state survives a from-scratch
@@ -237,12 +254,41 @@ func VerifyOutcome(bal partition.Balance) func(Outcome) error {
 // marks the run Incomplete with the reason. All partitions except the best
 // successful start's are dropped to bound memory.
 func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed uint64, opt RunOptions) *RunReport {
+	return runStarts(ctx, factory, startSeeds(rng.New(seed), n), opt)
+}
+
+// Multistart is the sequential form of RunMultistart used by the experiment
+// drivers: n starts of h on one worker, start i seeded with the i-th draw
+// from r (the same seed r.Split() would give it), with verify (optional)
+// rejecting corrupt outcomes. It draws exactly n values from r whether or
+// not ctx cancels the sweep, so a caller's later draws do not depend on how
+// far the sweep got.
+func Multistart(ctx context.Context, h Heuristic, n int, r *rng.RNG, verify func(Outcome) error) *RunReport {
+	return runStarts(ctx, func() Heuristic { return h }, startSeeds(r, n), RunOptions{Workers: 1, Verify: verify})
+}
+
+// startSeeds draws one seed per start from root, so every start's outcome
+// is fixed before any start runs, whatever the schedule.
+func startSeeds(root *rng.RNG, n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = root.Uint64()
+	}
+	return seeds
+}
+
+// runStarts is the one multistart loop: start i runs from startSeeds[i].
+func runStarts(ctx context.Context, factory func() Heuristic, startSeeds []uint64, opt RunOptions) *RunReport {
 	t0 := time.Now() //hglint:ignore detrand wall clock feeds the report's Elapsed only, never the search
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(startSeeds)
 	rep := &RunReport{Results: make([]StartResult, n), BestIdx: -1}
-	if n <= 0 {
+	if n == 0 {
 		rep.Elapsed = time.Since(t0) //hglint:ignore detrand wall clock feeds the report's Elapsed only, never the search
 		return rep
 	}
@@ -258,16 +304,6 @@ func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed ui
 	}
 	if workers > n {
 		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Pre-split one seed per start so results are schedule-independent.
-	root := rng.New(seed)
-	startSeeds := make([]uint64, n)
-	for i := range startSeeds {
-		startSeeds[i] = root.Uint64()
 	}
 
 	for i := range rep.Results {
@@ -322,22 +358,25 @@ func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed ui
 
 	reason := ""
 	dispatched := 0
-dispatch:
 	for i := 0; i < n; i++ {
 		if rep.Results[i].Resumed {
 			continue
 		}
 		// Wait for an idle worker before consulting the work budget, so the
-		// check sees the work of every start that worker has finished.
+		// check sees the work of every start that worker has finished. A
+		// start never begins once ctx is done, even if a worker was idle at
+		// the same moment, so an already-cancelled run starts nothing.
 		select {
 		case <-idle:
 		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
 			if parent.Err() != nil {
 				reason = "cancelled"
 			} else {
 				reason = "wall-clock budget exhausted"
 			}
-			break dispatch
+			break
 		}
 		if opt.WorkBudget > 0 && totalWork.Load() >= opt.WorkBudget {
 			reason = "work budget exhausted"
@@ -467,19 +506,6 @@ func runAttempt(h Heuristic, r *rng.RNG) (o Outcome, err error) {
 	return h.Run(r), nil
 }
 
-// StartSeed returns the pre-split seed RunMultistart derives for start i of
-// a run rooted at seed — the i-th draw from the root generator. Because each
-// start's outcome is a pure function of this seed, any single start can be
-// recomputed after the fact (see RerunStart) without re-running the sweep.
-func StartSeed(seed uint64, i int) uint64 {
-	root := rng.New(seed)
-	var s uint64
-	for j := 0; j <= i; j++ {
-		s = root.Uint64()
-	}
-	return s
-}
-
 // RerunStart deterministically recomputes start i of an n-start run rooted
 // at seed, replaying attempt number attempts (1 for a start that succeeded
 // first try, matching StartResult.Attempts). It reproduces the exact
@@ -490,55 +516,49 @@ func RerunStart(factory func() Heuristic, seed uint64, i, attempts int) (Outcome
 	if attempts < 1 {
 		attempts = 1
 	}
-	return runAttempt(factory(), rng.New(attemptSeed(StartSeed(seed, i), attempts-1)))
+	return runAttempt(factory(), rng.New(attemptSeed(startSeeds(rng.New(seed), i+1)[i], attempts-1)))
 }
 
-// MultistartInfo reports the robustness bookkeeping of MultistartRobust.
-type MultistartInfo struct {
-	// Completed and Failed count starts by fate.
-	Completed, Failed int
-	// Incomplete reports that the context cancelled the sweep early.
-	Incomplete bool
-	// FirstErr is the first failure observed, if any.
-	FirstErr error
-}
-
-// MultistartRobust is the sequential, context-aware counterpart of
-// Multistart used by the experiment drivers: the generator-split discipline
-// is identical (start i draws from the i-th Split of r), so with no faults
-// and no cancellation it returns exactly Multistart's samples. Panics are
-// recovered into failed (and omitted) samples, verify (optional) rejects
-// corrupt outcomes, and a cancelled context stops the sweep between starts.
-func MultistartRobust(ctx context.Context, h Heuristic, n int, r *rng.RNG,
-	verify func(Outcome) error) (samples []Outcome, best Outcome, info MultistartInfo) {
-	if ctx == nil {
-		ctx = context.Background()
+// Finish is the one finish step of a multistart rooted at seed: it turns
+// rep, the report of RunMultistart(ctx, factory, n, seed, opt), into the
+// reported result. A best start resumed from a checkpoint journal carries
+// no partition, so Finish recomputes exactly that start (RerunStart) and
+// checks its cut against the journaled one. It then polishes the best with
+// a fresh heuristic from factory, seeded with rng.New(seed ^ gamma), so a
+// resumed run reports what the uninterrupted run reports. The returned
+// outcome carries the final partition and cut; its Work and Seconds are the
+// whole run's cost, every start plus the polish.
+func Finish(factory func() Heuristic, seed uint64, rep *RunReport) (Outcome, error) {
+	if rep.BestIdx < 0 {
+		return Outcome{}, fmt.Errorf("eval: no start succeeded")
 	}
-	samples = make([]Outcome, 0, n)
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			info.Incomplete = true
-			return samples, best, info
-		default:
-		}
-		o, err := runAttempt(h, r.Split())
-		if err == nil && verify != nil {
-			err = verify(o)
-		}
+	best := rep.Best
+	if best.P == nil {
+		o, err := RerunStart(factory, seed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
 		if err != nil {
-			info.Failed++
-			if info.FirstErr == nil {
-				info.FirstErr = err
-			}
-			continue
+			return Outcome{}, fmt.Errorf("eval: recompute resumed best start %d: %w", rep.BestIdx, err)
 		}
-		info.Completed++
-		if best.P == nil || o.Cut < best.Cut {
-			best = o
+		if o.Cut != best.Cut {
+			return Outcome{}, fmt.Errorf("eval: recomputed start %d cut %d != journaled %d (corrupt checkpoint?)",
+				rep.BestIdx, o.Cut, best.Cut)
 		}
-		o.P = nil
-		samples = append(samples, o)
+		best.P = o.P
 	}
-	return samples, best, info
+	return polished(factory(), rep, best, rng.New(seed^gamma)), nil
+}
+
+// polished applies h's polish step to best (a no-op when best has no
+// partition) with generator r, and returns best carrying the cost of the
+// whole run: every start of rep plus the polish.
+func polished(h Heuristic, rep *RunReport, best Outcome, r *rng.RNG) Outcome {
+	best.Work, best.Seconds = rep.TotalWork, 0
+	for _, sr := range rep.Results {
+		best.Seconds += sr.Outcome.Seconds
+	}
+	if polish := h.PolishBest(best.P, r); polish.P != nil {
+		best.Cut = polish.Cut
+		best.Work += polish.Work
+		best.Seconds += polish.Seconds
+	}
+	return best
 }

@@ -17,6 +17,7 @@ import (
 	"hgpart/internal/eval"
 	"hgpart/internal/gen"
 	"hgpart/internal/hypergraph"
+	"hgpart/internal/multilevel"
 	"hgpart/internal/partition"
 	"hgpart/internal/rng"
 )
@@ -305,30 +306,39 @@ func TestHarnessEngineDebugModeIsTransparent(t *testing.T) {
 	}
 }
 
-// MultistartRobust with no faults must reproduce Multistart exactly — the
-// experiment drivers rely on this to keep published tables stable.
-func TestMultistartRobustMatchesMultistart(t *testing.T) {
+// The sequential Multistart seeded from rng.New(seed) must reproduce
+// RunMultistart rooted at seed start for start, verified or not — the
+// experiment drivers and the served/CLI paths share one seed rule.
+func TestMultistartMatchesRunMultistart(t *testing.T) {
 	h, bal := harnessInstance(t)
 	f := flatFactory(h, bal)
-	a, abest := eval.Multistart(f(), 7, rng.New(23))
-	b, bbest, info := eval.MultistartRobust(context.Background(), f(), 7, rng.New(23), eval.VerifyOutcome(bal))
-	if info.Failed != 0 || info.Incomplete || info.Completed != 7 {
-		t.Fatalf("robust run misbehaved: %+v", info)
+	a := eval.RunMultistart(context.Background(), f, 7, 23, eval.RunOptions{Workers: 3})
+	b := eval.Multistart(context.Background(), f(), 7, rng.New(23), eval.VerifyOutcome(bal))
+	if b.Failed != 0 || b.Incomplete || b.Completed != 7 {
+		t.Fatalf("sequential run misbehaved: %s", b.Summary())
 	}
-	if len(a) != len(b) || abest.Cut != bbest.Cut {
-		t.Fatalf("sample counts or best differ: %d/%d, %d/%d", len(a), len(b), abest.Cut, bbest.Cut)
+	if a.Summary() != b.Summary() || a.BestIdx != b.BestIdx {
+		t.Fatalf("reports differ:\n%s\n%s", a.Summary(), b.Summary())
 	}
-	for i := range a {
-		if a[i].Cut != b[i].Cut || a[i].Work != b[i].Work {
-			t.Fatalf("sample %d differs: cut %d/%d work %d/%d", i, a[i].Cut, b[i].Cut, a[i].Work, b[i].Work)
+	for i := range a.Results {
+		if ao, bo := a.Results[i].Outcome, b.Results[i].Outcome; ao.Cut != bo.Cut || ao.Work != bo.Work {
+			t.Fatalf("start %d differs: cut %d/%d work %d/%d", i, ao.Cut, bo.Cut, ao.Work, bo.Work)
 		}
 	}
-	// And a cancelled context stops between starts.
+	// A cancelled context starts nothing, and still draws all n seeds.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, _, info2 := eval.MultistartRobust(ctx, f(), 7, rng.New(23), nil)
-	if !info2.Incomplete || len(s) != 0 {
-		t.Fatalf("pre-cancelled robust multistart should do nothing: %+v", info2)
+	r := rng.New(23)
+	c := eval.Multistart(ctx, f(), 7, r, nil)
+	if !c.Incomplete || c.Reason != "cancelled" || len(c.Outcomes()) != 0 {
+		t.Fatalf("pre-cancelled multistart should do nothing: %s", c.Summary())
+	}
+	after := rng.New(23)
+	for i := 0; i < 7; i++ {
+		after.Uint64()
+	}
+	if r.Uint64() != after.Uint64() {
+		t.Fatal("a cancelled multistart must still draw one seed per start")
 	}
 }
 
@@ -415,5 +425,56 @@ func TestParallelMultistartZeroStarts(t *testing.T) {
 			t.Fatalf("workers=%d: want empty report for n=0, got %d results bestIdx=%d",
 				workers, len(rep.Results), rep.BestIdx)
 		}
+	}
+}
+
+// The finish step reports the same result for a live run and for a run
+// whose best start was resumed from the journal (and so has no partition):
+// it recomputes that start and polishes it with the same seed. A journaled
+// cut that the recomputation does not reproduce is an error.
+func TestFinishResumedBestMatchesLive(t *testing.T) {
+	h, bal := harnessInstance(t)
+	factory := func() eval.Heuristic {
+		return eval.NewML("ML", h, multilevel.Config{Refine: core.StrongConfig(false)}, bal, 2)
+	}
+	const n, seed = 5, 31
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cp, err := eval.OpenCheckpoint(path, "ml", seed, n, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := eval.RunMultistart(context.Background(), factory, n, seed, eval.RunOptions{Workers: 2, Checkpoint: cp})
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := eval.Finish(factory, seed, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Work <= live.TotalWork {
+		t.Fatalf("finished work %d does not include the polish (starts %d)", want.Work, live.TotalWork)
+	}
+
+	cp2, err := eval.OpenCheckpoint(path, "ml", seed, n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp2.Close()
+	resumed := eval.RunMultistart(context.Background(), factory, n, seed, eval.RunOptions{Workers: 2, Checkpoint: cp2})
+	if resumed.Resumed != n || resumed.Best.P != nil {
+		t.Fatalf("expected a fully resumed run with no best partition: %s", resumed.Summary())
+	}
+	got, err := eval.Finish(factory, seed, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cut != want.Cut || got.Work != want.Work || got.P.Cut() != want.P.Cut() ||
+		got.P.Area(0) != want.P.Area(0) {
+		t.Fatalf("resumed finish cut=%d work=%d, live finish cut=%d work=%d", got.Cut, got.Work, want.Cut, want.Work)
+	}
+
+	resumed.Best.Cut++
+	if _, err := eval.Finish(factory, seed, resumed); err == nil {
+		t.Fatal("a journaled cut the recomputation does not reproduce must be an error")
 	}
 }

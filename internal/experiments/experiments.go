@@ -126,20 +126,19 @@ func (o Options) debug(cfg core.Config) core.Config {
 const cancelledCell = "(cancelled)"
 
 // minAvgCell runs n independent single starts of heuristic h through the
-// robust sequential harness and renders the (min cut, avg cut) cell. The
-// generator-split discipline matches eval.Multistart exactly, so table values
-// are unchanged by the harness on a fault-free run. Failed starts (recovered
-// panics, outcomes rejected by verification under CheckInvariants) and
-// cancellation are annotated in the cell rather than silently absorbed into
-// the statistics.
+// sequential multistart driver and renders the (min cut, avg cut) cell.
+// Failed starts (recovered panics, outcomes rejected by verification under
+// CheckInvariants) and cancellation are annotated in the cell rather than
+// silently absorbed into the statistics.
 func (o Options) minAvgCell(h eval.Heuristic, bal partition.Balance, n int, r *rng.RNG) string {
 	var verify func(eval.Outcome) error
 	if o.CheckInvariants {
 		verify = eval.VerifyOutcome(bal)
 	}
-	samples, _, info := eval.MultistartRobust(o.ctx(), h, n, r, verify)
+	rep := eval.Multistart(o.ctx(), h, n, r, verify)
+	samples := rep.Outcomes()
 	if len(samples) == 0 {
-		if info.Incomplete {
+		if rep.Incomplete {
 			return cancelledCell
 		}
 		return fmt.Sprintf("(all %d starts failed)", n)
@@ -149,22 +148,19 @@ func (o Options) minAvgCell(h eval.Heuristic, bal partition.Balance, n int, r *r
 		cuts[i] = float64(s.Cut)
 	}
 	cell := report.MinAvg(stats.Min(cuts), stats.Mean(cuts))
-	if info.Failed > 0 {
-		cell += fmt.Sprintf(" [%d failed]", info.Failed)
+	if rep.Failed > 0 {
+		cell += fmt.Sprintf(" [%d failed]", rep.Failed)
 	}
-	if info.Incomplete {
-		cell += fmt.Sprintf(" [stopped at %d/%d]", info.Completed+info.Failed, n)
+	if rep.Incomplete {
+		cell += fmt.Sprintf(" [stopped at %d/%d]", rep.Completed+rep.Failed, n)
 	}
 	return cell
 }
 
-// samples draws n single starts of h through the cancellable robust harness.
-// The generator-split discipline matches eval.Multistart exactly, so on an
-// uncancelled fault-free run the outcomes are identical; a cancelled context
-// yields just the starts finished so far.
+// samples draws n single starts of h through the sequential multistart
+// driver; a cancelled context yields just the starts finished so far.
 func (o Options) samples(h eval.Heuristic, n int, r *rng.RNG) []eval.Outcome {
-	out, _, _ := eval.MultistartRobust(o.ctx(), h, n, r, nil)
-	return out
+	return eval.Multistart(o.ctx(), h, n, r, nil).Outcomes()
 }
 
 // table1Engines enumerates the four optimization engines of Table 1 in the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hgpart/internal/core"
@@ -133,7 +134,7 @@ func TableSignificance(o Options) *report.Table {
 
 	cuts := func(cfg core.Config) []float64 {
 		heur := eval.NewFlat(cfg.String(), h, cfg, bal, root.Split())
-		samples, _ := eval.Multistart(heur, o.Runs, root.Split())
+		samples := eval.Multistart(context.Background(), heur, o.Runs, root.Split(), nil).Outcomes()
 		out := make([]float64, len(samples))
 		for i, s := range samples {
 			out[i] = float64(s.Cut)
@@ -207,8 +208,8 @@ func TableRegimes(o Options) *report.Table {
 		fmt.Sprint(bBest.Cut), fmt.Sprintf("%.3f", spent))
 
 	// Schreiber-Martin P(ML best) across budgets.
-	flatSamples, _ := eval.Multistart(flat, o.Runs, root.Split())
-	mlSamples, _ := eval.Multistart(ml, o.Runs, root.Split())
+	flatSamples := eval.Multistart(context.Background(), flat, o.Runs, root.Split(), nil).Outcomes()
+	mlSamples := eval.Multistart(context.Background(), ml, o.Runs, root.Split(), nil).Outcomes()
 	for _, mult := range []float64{1, 4, 16} {
 		tau := one.NormalizedSeconds() * mult
 		p := eval.ProbBest(mlSamples, flatSamples, tau, true)

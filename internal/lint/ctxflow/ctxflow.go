@@ -47,7 +47,7 @@ var TargetPackages = []string{
 // containing one of these calls makes the loop a "starts loop".
 var startCallNames = map[string]bool{
 	"Run": true, "RunPruned": true, "runAttempt": true, "runStart": true,
-	"Multistart": true, "MultistartRobust": true, "RunMultistart": true,
+	"runStarts": true, "Multistart": true, "RunMultistart": true,
 	"BestOfK": true, "BestWithinBudget": true, "PrunedMultistart": true,
 	"EvaluateConfigurationsCtx": true, "minAvgCell": true,
 }

@@ -36,11 +36,6 @@ func armSeed(seed uint64, i int) uint64 {
 // the commit explores starts the race has not already spent.
 func CommitSeed(seed uint64) uint64 { return seed ^ commitSalt }
 
-// PolishSeed derives the seed for the final polish pass applied to a
-// commit-phase best (the same seed^gamma idiom the service uses for its
-// fixed-default polish).
-func PolishSeed(seed uint64) uint64 { return CommitSeed(seed) ^ goldenGamma }
-
 // ArmTrace is the per-arm outcome of one race, in arm order. It is part of
 // the deterministic report surface: every field is a pure function of
 // (instance, seed, budget).
@@ -245,9 +240,9 @@ func CommitWins(commit *eval.RunReport, fallback *eval.Outcome) bool {
 // Result a pure function of (h, seed, starts, workBudget) — the property the
 // smoke test and the hgbench gate assert byte-for-byte.
 //
-// When CommitWins, the commit best is polished once with the winning arm's
-// polish step, seeded from PolishSeed(seed); race-sourced bests were already
-// polished during the race.
+// When CommitWins, the commit best goes through the harness's finish step
+// (eval.Finish: the winning arm's polish, seeded from the commit seed);
+// race-sourced bests were already polished during the race.
 func (s *Scheduler) Run(ctx context.Context, h *hypergraph.Hypergraph, bal partition.Balance, seed uint64, starts int, workBudget int64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -259,7 +254,8 @@ func (s *Scheduler) Run(ctx context.Context, h *hypergraph.Hypergraph, bal parti
 	arm := race.Arms[race.Winner]
 
 	cseed := CommitSeed(seed)
-	rep := eval.RunMultistart(ctx, arm.Factory(h, bal, cseed), starts, cseed, eval.RunOptions{
+	factory := arm.Factory(h, bal, cseed)
+	rep := eval.RunMultistart(ctx, factory, starts, cseed, eval.RunOptions{
 		Workers:    1,
 		Verify:     eval.VerifyOutcome(bal),
 		WorkBudget: CommitBudget(workBudget, race.RaceWork),
@@ -268,16 +264,15 @@ func (s *Scheduler) Run(ctx context.Context, h *hypergraph.Hypergraph, bal parti
 	res := &Result{Race: race, Commit: rep, Final: race.Best, Source: "race",
 		TotalWork: race.RaceWork + rep.TotalWork}
 	if CommitWins(rep, &race.Best) {
-		res.Final = rep.Best
-		res.Source = "commit"
-		ph := arm.NewHeuristic(h, bal, rng.New(cseed))
-		if polish := ph.PolishBest(res.Final.P, rng.New(PolishSeed(seed))); polish.P != nil {
-			res.Final.Cut = polish.Cut
-			res.TotalWork += polish.Work
+		final, err := eval.Finish(factory, cseed, rep)
+		if err != nil {
+			return nil, fmt.Errorf("portfolio: commit: %w", err)
 		}
-	}
-	if res.Final.P == nil {
-		return nil, fmt.Errorf("portfolio: no final partition (commit: %s)", rep.Summary())
+		// Final is the best start itself, as with a race-sourced best: its
+		// own cost, the polished cut.
+		res.Final = eval.Outcome{P: final.P, Cut: final.Cut, Seconds: rep.Best.Seconds, Work: rep.Best.Work}
+		res.Source = "commit"
+		res.TotalWork = race.RaceWork + final.Work
 	}
 	return res, nil
 }

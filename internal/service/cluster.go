@@ -454,8 +454,7 @@ func (c *Coordinator) dispatch(ctx context.Context, worker string, j *Job) {
 		j.mu.Lock()
 		j.remoteJob = remoteJob
 		j.mu.Unlock()
-		j.finish(JobDone, http.StatusOK, body, "")
-		c.m.metrics.JobFinished(JobDone)
+		c.m.settle(j, JobDone, http.StatusOK, body, "")
 	case permCode != 0:
 		c.m.fail(j, permCode, permMsg)
 	case ctx.Err() != nil:

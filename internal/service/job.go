@@ -210,6 +210,13 @@ func (j *Job) finish(state JobState, httpStatus int, report []byte, errMsg strin
 	close(j.done)
 }
 
+// settle ends j in a terminal state and counts it. The count comes first,
+// so a client released by the job's completion already sees it on /metrics.
+func (m *Manager) settle(j *Job, state JobState, httpStatus int, report []byte, errMsg string) {
+	m.metrics.JobFinished(state)
+	j.finish(state, httpStatus, report, errMsg)
+}
+
 // progressHeuristic wraps a Heuristic to feed the job's live BSF view. It
 // changes nothing about the computation: outcomes pass through untouched,
 // and panics propagate to the harness's recovery exactly as before.
@@ -622,8 +629,7 @@ func (m *Manager) cancelQueued(j *Job, code int, msg string) bool {
 		return false
 	}
 	m.removeInflight(j.Key)
-	j.finish(JobCanceled, code, nil, msg)
-	m.metrics.JobFinished(JobCanceled)
+	m.settle(j, JobCanceled, code, nil, msg)
 	return true
 }
 
@@ -720,7 +726,7 @@ func (m *Manager) worker() {
 // report describes the engine.
 type jobPlan struct {
 	// raw builds the heuristic (before progress tracking); seed roots the
-	// multistart and its checkpoint journal.
+	// multistart, its checkpoint journal and the finish step's polish.
 	raw  func() eval.Heuristic
 	seed uint64
 	// workBudget bounds the multistart (0 = unbounded); spent is work the
@@ -731,8 +737,6 @@ type jobPlan struct {
 	// multistart's best replaces it only per portfolio.CommitWins, and a
 	// multistart with no legal start falls back to it instead of a 422.
 	fallback *eval.Outcome
-	// polishSeed seeds raw's PolishBest on a multistart-sourced final best.
-	polishSeed uint64
 	// engine and vcycles are the configuration the report names.
 	engine  string
 	vcycles int
@@ -744,14 +748,12 @@ type jobPlan struct {
 // fixedPlan is the pre-phase of a fixed-engine job. The engines mirror
 // cmd/hgpart's construction — StrongConfig FM tuned per the paper's Tables
 // 2/3, multilevel by default — with a generator derived from the request
-// seed alone, and the ML V-cycle polish uses the CLI's derived seed (the
-// flat engines' polish is a no-op), so service and CLI answers agree byte
-// for byte.
+// seed alone; the lifecycle's finish step (eval.Finish) is the one the CLI
+// and hgpart.Bisect run, so their answers agree byte for byte.
 func fixedPlan(req PartitionRequest, h *hypergraph.Hypergraph, bal partition.Balance) *jobPlan {
 	p := &jobPlan{
 		seed:       req.Seed,
 		workBudget: req.WorkBudget,
-		polishSeed: req.Seed ^ 0x9e3779b97f4a7c15,
 		engine:     req.Engine,
 		vcycles:    req.VCycles,
 	}
@@ -890,15 +892,13 @@ func (m *Manager) run(j *Job) {
 
 	report, err := m.buildReport(ctx, j, bal, p, rep)
 	if err != nil {
-		j.finish(JobFailed, 500, nil, err.Error())
-		m.metrics.JobFinished(JobFailed)
+		m.settle(j, JobFailed, 500, nil, err.Error())
 		m.log.Error("report construction failed", "job", j.ID, "err", err)
 		return
 	}
 	body, err := json.Marshal(report)
 	if err != nil {
-		j.finish(JobFailed, 500, nil, fmt.Sprintf("encode report: %v", err))
-		m.metrics.JobFinished(JobFailed)
+		m.settle(j, JobFailed, 500, nil, fmt.Sprintf("encode report: %v", err))
 		return
 	}
 	if !rep.Incomplete {
@@ -909,8 +909,7 @@ func (m *Manager) run(j *Job) {
 			m.cfg.FS.Remove(cpPath)
 		}
 	}
-	j.finish(JobDone, 200, body, "")
-	m.metrics.JobFinished(JobDone)
+	m.settle(j, JobDone, 200, body, "")
 	m.log.Info("job done", "job", j.ID, "instance", j.instName, "engine", report.Engine,
 		"cut", report.Cut, "work", report.Work, "incomplete", report.Incomplete,
 		"elapsed_ms", time.Since(t0).Milliseconds())
@@ -919,8 +918,7 @@ func (m *Manager) run(j *Job) {
 // fail ends a job with an error status before any report exists.
 func (m *Manager) fail(j *Job, status int, msg string) {
 	m.removeInflight(j.Key)
-	j.finish(JobFailed, status, nil, msg)
-	m.metrics.JobFinished(JobFailed)
+	m.settle(j, JobFailed, status, nil, msg)
 }
 
 // cancelled settles a job whose context was cancelled in either phase, with
@@ -953,17 +951,15 @@ func (m *Manager) cancelled(j *Job, completed int, cpPath string) {
 	}
 	m.removeInflight(j.Key)
 	if m.isDraining() {
-		j.finish(JobInterrupted, 503, nil, fmt.Sprintf(
+		m.settle(j, JobInterrupted, 503, nil, fmt.Sprintf(
 			"service drained mid-run: %d of %d starts checkpointed; resubmit the identical request to resume",
 			completed, j.req.Starts))
-		m.metrics.JobFinished(JobInterrupted)
 		m.log.Info("job interrupted by drain", "job", j.ID,
 			"completed", completed, "starts", j.req.Starts, "checkpoint", cpPath)
 		return
 	}
-	j.finish(JobCanceled, 409, nil, fmt.Sprintf(
+	m.settle(j, JobCanceled, 409, nil, fmt.Sprintf(
 		"job cancelled: %d of %d starts completed", completed, j.req.Starts))
-	m.metrics.JobFinished(JobCanceled)
 }
 
 // buildReport assembles the deterministic Report from the plan and the
@@ -976,26 +972,12 @@ func (m *Manager) buildReport(ctx context.Context, j *Job, bal partition.Balance
 	var best eval.Outcome
 	source := "race"
 	if portfolio.CommitWins(rep, p.fallback) {
+		var err error
+		if best, err = eval.Finish(p.raw, p.seed, rep); err != nil {
+			return nil, err
+		}
 		source = "commit"
-		best = rep.Best
-		if best.P == nil {
-			// The best start was resumed from the journal: recompute exactly
-			// that start to recover its partition. Determinism makes this a
-			// lookup, not a gamble — the cut must match the journaled one.
-			o, err := eval.RerunStart(p.raw, p.seed, rep.BestIdx, rep.Results[rep.BestIdx].Attempts)
-			if err != nil {
-				return nil, fmt.Errorf("recompute resumed best start %d: %w", rep.BestIdx, err)
-			}
-			if o.Cut != best.Cut {
-				return nil, fmt.Errorf("recomputed start %d cut %d != journaled %d (corrupt checkpoint?)",
-					rep.BestIdx, o.Cut, best.Cut)
-			}
-			best = o
-		}
-		if polish := p.raw().PolishBest(best.P, rng.New(p.polishSeed)); polish.P != nil {
-			best.Cut = polish.Cut
-			work += polish.Work
-		}
+		work = p.spent + best.Work
 	} else {
 		best = *p.fallback
 	}

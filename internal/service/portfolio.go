@@ -39,7 +39,6 @@ func (m *Manager) portfolioPlan(ctx context.Context, j *Job, bal partition.Balan
 		workBudget: portfolio.CommitBudget(j.req.WorkBudget, race.RaceWork),
 		spent:      race.RaceWork,
 		fallback:   &race.Best,
-		polishSeed: portfolio.PolishSeed(j.req.Seed),
 		engine:     "portfolio",
 		vcycles:    arm.VCycles,
 		portfolio: &PortfolioReport{
