@@ -136,9 +136,9 @@ portfolio-smoke:
 # sometimes shows is caught.
 # Budgeted multi-worker runs are left out: their completed-start count still
 # depends on scheduling (ROADMAP).
-FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestPlainMatchesWorkers|TestResumeMatchesUninterrupted|TestMultistartMatchesRunMultistart|TestFixedReportMatchesBisect|TestImplEquivalence|TestRunToRunDeterminism|TestBodyMemoMatchesFullPath|TestBodyMemoBoundedUnderFlood|TestClusterLocalFallbackCountsOnce|TestClusterCancelQueuedAndInFlight|TestClusterDrainCancelsDispatchQueue|TestClusterFirstDispatchCountsZeroRequeues)
+FLAKE_TESTS = ^(TestOptimizedMatchesReferenceBitwise|TestDifferentialOracleTinyInstances|TestRebindMatchesFresh|TestRollbackRoutesMatchReference|TestContractMatchesReference|TestBuildMatchesReference|TestDeterminism|TestParallelMultistartDeterministicAcrossWorkerCounts|TestHarnessDeterministicAcrossWorkersUnderFaults|TestWorkerCountInvariance|TestPlainMatchesWorkers|TestResumeMatchesUninterrupted|TestMultistartMatchesRunMultistart|TestFixedReportMatchesBisect|TestImplEquivalence|TestRunToRunDeterminism|TestBodyMemoMatchesFullPath|TestBodyMemoBoundedUnderFlood|TestClusterLocalFallbackCountsOnce|TestClusterCancelQueuedAndInFlight|TestClusterDrainCancelsDispatchQueue|TestClusterFirstDispatchCountsZeroRequeues|TestPartitionFixedNoPinsMatchesQuality|TestKWayDeterministic|TestPlaceDeterministic|TestQuadrisectionDeterministic)
 flake-sweep:
-	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/core ./internal/hypergraph ./internal/multilevel ./internal/eval ./internal/service ./cmd/hgpart
+	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/core ./internal/hypergraph ./internal/multilevel ./internal/eval ./internal/service ./cmd/hgpart ./internal/kway ./internal/placer
 
 # End-to-end benchmark smoke (bench/ is a module of its own, so the root
 # `go test ./...` never reaches it): every workload runs briefly on

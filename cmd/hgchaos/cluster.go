@@ -21,8 +21,6 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"hgpart/internal/chaos"
 )
 
 // clusterScenarioNames lists the cluster scenarios run() dispatches here.
@@ -155,9 +153,9 @@ func clusterTopology(ctx context.Context, opt options, req string, baseline []by
 			c.stopAll()
 			return 1
 		}
-		body2, disp, err := submitSyncDisposition(ctx, c.coord.addr, req, opt.seed)
-		if err != nil || !bytes.Equal(body2, baseline) || disp != "hit" {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: repeat request not a byte-identical cache hit (disposition %q, err %v)\n", disp, err)
+		body2, sv, err := submitSync(ctx, c.coord.addr, req, opt.seed)
+		if err != nil || !bytes.Equal(body2, baseline) || sv.cache != "hit" {
+			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: repeat request not a byte-identical cache hit (disposition %q, err %v)\n", sv.cache, err)
 			c.stopAll()
 			return 1
 		}
@@ -266,13 +264,13 @@ func clusterWorkerKillOnce(ctx context.Context, opt options, req string, baselin
 
 	// Byte-identity: the coordinator's cached bytes are the survivor's
 	// response verbatim.
-	body, disp, err := submitSyncDisposition(ctx, c.coord.addr, req, opt.seed)
+	body, sv, err := submitSync(ctx, c.coord.addr, req, opt.seed)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: refetch: %v\n", err)
 		return 1, false
 	}
-	if disp != "hit" {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: refetch was %q, want coordinator cache hit\n", disp)
+	if sv.cache != "hit" {
+		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: refetch was %q, want coordinator cache hit\n", sv.cache)
 		return 1, false
 	}
 	if !bytes.Equal(body, baseline) {
@@ -398,7 +396,7 @@ func clusterDegrade(ctx context.Context, opt options, req string, baseline []byt
 	}
 	defer coord.stop()
 
-	body, disp, err := submitSyncDisposition(ctx, coord.addr, req, opt.seed)
+	body, sv, err := submitSync(ctx, coord.addr, req, opt.seed)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: request against a dead fleet failed: %v\n", name, err)
 		return 1
@@ -408,8 +406,8 @@ func clusterDegrade(ctx context.Context, opt options, req string, baseline []byt
 			name, len(body), len(baseline))
 		return 1
 	}
-	if disp != "local-fallback" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: disposition %q, want local-fallback\n", name, disp)
+	if sv.cache != "local-fallback" {
+		fmt.Fprintf(opt.out, "hgchaos: %s: disposition %q, want local-fallback\n", name, sv.cache)
 		return 1
 	}
 	var cs struct {
@@ -441,6 +439,9 @@ type jobStatusDoc struct {
 }
 
 func jobStatus(ctx context.Context, addr, id string) (*jobStatusDoc, error) {
+	if id == "" {
+		return nil, fmt.Errorf("response carried no X-Hgserved-Job header")
+	}
 	var st jobStatusDoc
 	if err := getJSON(ctx, "http://"+addr+"/v1/jobs/"+id, &st); err != nil {
 		return nil, err
@@ -502,33 +503,4 @@ func submitAsyncID(ctx context.Context, addr, req string) (string, error) {
 		return "", fmt.Errorf("async submit: no job id in %s", bytes.TrimSpace(b))
 	}
 	return doc.Job, nil
-}
-
-// submitSyncDisposition is submitSync but also returns the X-Hgserved-Cache
-// header, so scenarios can assert HOW the bytes were produced (hit,
-// local-fallback, ...), not just what they are.
-func submitSyncDisposition(ctx context.Context, addr, req string, seed uint64) (body []byte, disposition string, err error) {
-	retry := chaos.Retry{MaxAttempts: 8, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second, Seed: seed}
-	err = retry.Do(ctx, func() (time.Duration, bool, error) {
-		resp, herr := httpPost(ctx, "http://"+addr+"/v1/partition", req)
-		if herr != nil {
-			return 0, true, herr
-		}
-		defer resp.Body.Close()
-		b, rerr := io.ReadAll(resp.Body)
-		if rerr != nil {
-			return 0, true, rerr
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			after, _ := chaos.RetryAfterHeader(resp.Header.Get("Retry-After"))
-			return after, true, fmt.Errorf("503: %s", bytes.TrimSpace(b))
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, false, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-		}
-		body = b
-		disposition = resp.Header.Get("X-Hgserved-Cache")
-		return 0, false, nil
-	})
-	return body, disposition, err
 }

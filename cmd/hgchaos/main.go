@@ -42,7 +42,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -231,7 +230,7 @@ func runScenario(ctx context.Context, opt options, sc scenario, req string, base
 			return 2
 		}
 		// Async submit: the victim may die before a sync response arrives.
-		if err := submitAsync(ctx, d.addr, req); err != nil && !sc.external {
+		if _, err := submitAsyncID(ctx, d.addr, req); err != nil && !sc.external {
 			// A self-killing spec only fires on a journal write, which
 			// happens after the 202 is sent; a submit error there is real.
 			fmt.Fprintf(opt.out, "hgchaos: %s: submit: %v\n", sc.name, err)
@@ -278,7 +277,7 @@ func runScenario(ctx context.Context, opt options, sc scenario, req string, base
 		return 2
 	}
 	defer d2.stop()
-	body, jobID, err := submitSync(ctx, d2.addr, req, opt.seed)
+	body, sv, err := submitSync(ctx, d2.addr, req, opt.seed)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: recovery request: %v\n", sc.name, err)
 		return 1
@@ -291,16 +290,16 @@ func runScenario(ctx context.Context, opt options, sc scenario, req string, base
 		return 1
 	}
 	if sc.wantResume {
-		n, err := resumedStarts(ctx, d2.addr, jobID)
+		st, err := jobStatus(ctx, d2.addr, sv.job)
 		if err != nil {
 			fmt.Fprintf(opt.out, "hgchaos: %s: job status: %v\n", sc.name, err)
 			return 1
 		}
-		if n < 1 {
+		if st.Resumed < 1 {
 			fmt.Fprintf(opt.out, "hgchaos: %s: recovery recomputed everything (resumed=0); the journal did its job in vain\n", sc.name)
 			return 1
 		}
-		fmt.Fprintf(opt.out, "hgchaos: %s: resumed %d journaled start(s)\n", sc.name, n)
+		fmt.Fprintf(opt.out, "hgchaos: %s: resumed %d journaled start(s)\n", sc.name, st.Resumed)
 	}
 	if sc.wantQuarantine {
 		side, _ := filepath.Glob(filepath.Join(cpDir, "*.jsonl.quarantine"))
@@ -399,10 +398,18 @@ func (d *daemon) waitKilled(ctx context.Context) error {
 	return nil
 }
 
-// submitSync posts the workload and returns the report body and job id,
-// retrying 503s (daemon still draining or warming) with seeded backoff that
-// honors Retry-After.
-func submitSync(ctx context.Context, addr, req string, seed uint64) (body []byte, jobID string, err error) {
+// served is what a sync response's headers say about its job: the job id
+// and the X-Hgserved-Cache disposition, so scenarios can assert HOW the
+// bytes were produced (hit, local-fallback, ...), not just what they are.
+type served struct {
+	job   string
+	cache string
+}
+
+// submitSync posts the workload and returns the report body and what the
+// headers say about it, retrying 503s (daemon still draining or warming)
+// with seeded backoff that honors Retry-After.
+func submitSync(ctx context.Context, addr, req string, seed uint64) (body []byte, sv served, err error) {
 	retry := chaos.Retry{MaxAttempts: 8, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second, Seed: seed}
 	err = retry.Do(ctx, func() (time.Duration, bool, error) {
 		resp, herr := httpPost(ctx, "http://"+addr+"/v1/partition", req)
@@ -422,48 +429,10 @@ func submitSync(ctx context.Context, addr, req string, seed uint64) (body []byte
 			return 0, false, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
 		}
 		body = b
-		jobID = resp.Header.Get("X-Hgserved-Job")
+		sv = served{job: resp.Header.Get("X-Hgserved-Job"), cache: resp.Header.Get("X-Hgserved-Cache")}
 		return 0, false, nil
 	})
-	return body, jobID, err
-}
-
-// submitAsync fires the workload without waiting for the computation.
-func submitAsync(ctx context.Context, addr, req string) error {
-	async := strings.TrimSuffix(strings.TrimSpace(req), "}") + `,"async":true}`
-	resp, err := httpPost(ctx, "http://"+addr+"/v1/partition", async)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("async submit: status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return nil
-}
-
-// resumedStarts reads how many starts the job recovered from the journal.
-func resumedStarts(ctx context.Context, addr, jobID string) (int, error) {
-	if jobID == "" {
-		return 0, fmt.Errorf("response carried no X-Hgserved-Job header")
-	}
-	reqq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/jobs/"+jobID, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(reqq)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Resumed int `json:"resumed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, err
-	}
-	return st.Resumed, nil
+	return body, sv, err
 }
 
 func httpPost(ctx context.Context, url, body string) (*http.Response, error) {

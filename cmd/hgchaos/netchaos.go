@@ -240,14 +240,14 @@ func slowPeer(ctx context.Context, opt options, req string, baseline []byte) int
 	defer b.stop()
 
 	begin := time.Now()
-	body, disp, err := submitSyncDisposition(ctx, b.addr, req, opt.seed)
+	body, sv, err := submitSync(ctx, b.addr, req, opt.seed)
 	elapsed := time.Since(begin)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: submit: %v\n", name, err)
 		return 1
 	}
-	if disp != "miss" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: disposition %q, want miss (slow peer must demote, not error)\n", name, disp)
+	if sv.cache != "miss" {
+		fmt.Fprintf(opt.out, "hgchaos: %s: disposition %q, want miss (slow peer must demote, not error)\n", name, sv.cache)
 		return 1
 	}
 	if !bytes.Equal(body, baseline) {
@@ -329,10 +329,10 @@ func corruptResponse(ctx context.Context, opt options, req string, baseline []by
 	}
 	// The cache-poisoning probe: a refetch must be a coordinator cache hit
 	// with the VERIFIED bytes — the corrupted body must not have been stored.
-	body2, disp, err := submitSyncDisposition(ctx, coord.addr, req, opt.seed)
-	if err != nil || disp != "hit" || !bytes.Equal(body2, baseline) {
+	body2, sv, err := submitSync(ctx, coord.addr, req, opt.seed)
+	if err != nil || sv.cache != "hit" || !bytes.Equal(body2, baseline) {
 		fmt.Fprintf(opt.out, "hgchaos: %s: refetch disposition %q identical=%v err=%v, want an unpoisoned hit\n",
-			name, disp, bytes.Equal(body2, baseline), err)
+			name, sv.cache, bytes.Equal(body2, baseline), err)
 		return 1
 	}
 	fmt.Fprintf(opt.out, "hgchaos: %s: corrupted dispatch retried clean; cache never poisoned\n", name)
@@ -350,10 +350,10 @@ func corruptResponse(ctx context.Context, opt options, req string, baseline []by
 		return 2
 	}
 	defer peerB.stop()
-	bodyB, dispB, err := submitSyncDisposition(ctx, peerB.addr, req, opt.seed)
-	if err != nil || dispB != "miss" || !bytes.Equal(bodyB, baseline) {
+	bodyB, svB, err := submitSync(ctx, peerB.addr, req, opt.seed)
+	if err != nil || svB.cache != "miss" || !bytes.Equal(bodyB, baseline) {
 		fmt.Fprintf(opt.out, "hgchaos: %s: corrupted peer probe: disposition %q identical=%v err=%v, want miss\n",
-			name, dispB, bytes.Equal(bodyB, baseline), err)
+			name, svB.cache, bytes.Equal(bodyB, baseline), err)
 		return 1
 	}
 	metricsB, err := fetchMetrics(ctx, peerB.addr)
@@ -429,7 +429,7 @@ func flappingWorker(ctx context.Context, opt options, req string, baseline []byt
 	}
 
 	// The recovered worker takes the next job; bytes stay baseline-identical.
-	body, jobID, err := submitSync(ctx, coord.addr, req, opt.seed)
+	body, sv, err := submitSync(ctx, coord.addr, req, opt.seed)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: post-recovery submit: %v\n", name, err)
 		return 1
@@ -439,7 +439,7 @@ func flappingWorker(ctx context.Context, opt options, req string, baseline []byt
 			name, len(body), len(baseline))
 		return 1
 	}
-	st, err := jobStatus(ctx, coord.addr, jobID)
+	st, err := jobStatus(ctx, coord.addr, sv.job)
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: job status: %v\n", name, err)
 		return 1

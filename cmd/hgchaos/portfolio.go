@@ -40,10 +40,10 @@ func runPortfolioScenario(ctx context.Context, opt options) int {
 		d1.stop()
 		return 2
 	}
-	repeat, disp, err := submitSyncDisposition(ctx, d1.addr, preq, opt.seed)
-	if err != nil || disp != "hit" || !bytes.Equal(repeat, baseline) {
+	repeat, sv, err := submitSync(ctx, d1.addr, preq, opt.seed)
+	if err != nil || sv.cache != "hit" || !bytes.Equal(repeat, baseline) {
 		fmt.Fprintf(opt.out, "hgchaos: %s: repeat not a byte-identical cache hit (disposition %q, err %v)\n",
-			name, disp, err)
+			name, sv.cache, err)
 		d1.stop()
 		return 1
 	}
@@ -60,14 +60,14 @@ func runPortfolioScenario(ctx context.Context, opt options) int {
 		fmt.Fprintf(opt.out, "hgchaos: %s: restarted daemon: %v\n", name, err)
 		return 2
 	}
-	body, disp, err := submitSyncDisposition(ctx, d2.addr, preq, opt.seed)
+	body, sv, err := submitSync(ctx, d2.addr, preq, opt.seed)
 	d2.stop()
 	if err != nil {
 		fmt.Fprintf(opt.out, "hgchaos: %s: restarted request: %v\n", name, err)
 		return 1
 	}
-	if disp != "miss" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restarted disposition %q, want miss (cold cache)\n", name, disp)
+	if sv.cache != "miss" {
+		fmt.Fprintf(opt.out, "hgchaos: %s: restarted disposition %q, want miss (cold cache)\n", name, sv.cache)
 		return 1
 	}
 	if !bytes.Equal(body, baseline) {

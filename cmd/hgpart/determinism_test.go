@@ -108,6 +108,27 @@ func TestPlainMatchesWorkers(t *testing.T) {
 	}
 }
 
+// -seed seeds the partitioner, never the generated -ibm instance: the
+// instance statistics on stderr are the same at every seed, so the CLI
+// partitions the netlist hgserved builds for the same benchmark and scale.
+func TestSeedKeepsGeneratedInstance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hgpart binary")
+	}
+	stats := func(seed string) string {
+		cmd := exec.Command(hgpartBinary(t), "-ibm", "1", "-scale", "0.05", "-seed", seed)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("hgpart -seed %s: %v\nstderr: %s", seed, err, stderr.String())
+		}
+		return stderr.String()
+	}
+	if one, seven := stats("1"), stats("7"); one != seven {
+		t.Errorf("instance statistics depend on -seed\n--- seed 1 ---\n%s--- seed 7 ---\n%s", one, seven)
+	}
+}
+
 // A run resumed from a fully journaled checkpoint reports what the
 // uninterrupted run reported: the finish step recovers the best start's
 // partition from the journal and polishes it the same way.

@@ -19,7 +19,10 @@
 //	hgpart -ibm 18 -starts 100 -checkpoint run.jsonl -resume
 //
 // Input format is chosen by extension: .hgr for hMETIS, anything else is
-// parsed as ISPD98 .netD/.net (with -are supplying areas).
+// parsed as ISPD98 .netD/.net (with -are supplying areas). -seed seeds the
+// partitioner only: -ibm always generates the profile's own instance, the
+// one hgserved partitions for {"benchmark":"ibmN"}; write another instance
+// seed with hggen -seed and read it with -in.
 //
 // -o <file> writes the best partition assignment, one line per vertex in
 // instance order: side 0/1 for bisection, the part id for -k > 2.
@@ -130,7 +133,7 @@ func main() {
 		fatalUsage(fmt.Errorf("-work-budget bounds a multistart: not with -k > 2, -engine spectral or -trace"))
 	}
 
-	h, err := loadInstance(*inPath, *arePath, *ibm, *scale, *seed)
+	h, err := loadInstance(*inPath, *arePath, *ibm, *scale)
 	if err != nil {
 		// Unreadable or malformed input is the user's to fix, not ours.
 		fatalUsage(err)
@@ -387,7 +390,7 @@ func writeAssignment(path string, n int, part func(int) int32) {
 	fmt.Printf("assignment written to %s\n", path)
 }
 
-func loadInstance(inPath, arePath string, ibm int, scale float64, seed uint64) (*hgpart.Hypergraph, error) {
+func loadInstance(inPath, arePath string, ibm int, scale float64) (*hgpart.Hypergraph, error) {
 	if ibm > 0 {
 		spec, err := hgpart.IBMProfile(ibm)
 		if err != nil {
@@ -395,9 +398,6 @@ func loadInstance(inPath, arePath string, ibm int, scale float64, seed uint64) (
 		}
 		if scale < 1 {
 			spec = hgpart.Scaled(spec, scale)
-		}
-		if seed != 1 {
-			spec.Seed = seed
 		}
 		return hgpart.Generate(spec)
 	}

@@ -100,7 +100,7 @@ func Partition(h *hypergraph.Hypergraph, k int, cfg Config, r *rng.RNG) (Result,
 		all[i] = int32(i)
 	}
 	res := Result{K: k}
-	bisect(h, cfg, r, all, 0, k, parts, &res)
+	bisect(hypergraph.NewRegionWalk(h), h, cfg, r, all, 0, k, parts, &res)
 
 	if cfg.DirectRefine && k >= 2 {
 		// Refinement tolerance: per-part bound equivalent to the
@@ -146,7 +146,7 @@ func Partition(h *hypergraph.Hypergraph, k int, cfg Config, r *rng.RNG) (Result,
 }
 
 // bisect assigns part ids [lo, lo+kk) to cells.
-func bisect(h *hypergraph.Hypergraph, cfg Config, r *rng.RNG, cells []int32, lo, kk int, parts objective.Assignment, res *Result) {
+func bisect(walk *hypergraph.RegionWalk, h *hypergraph.Hypergraph, cfg Config, r *rng.RNG, cells []int32, lo, kk int, parts objective.Assignment, res *Result) {
 	if kk == 1 {
 		for _, v := range cells {
 			parts[v] = int32(lo)
@@ -156,102 +156,85 @@ func bisect(h *hypergraph.Hypergraph, cfg Config, r *rng.RNG, cells []int32, lo,
 	k1 := (kk + 1) / 2 // side 0 share
 	k2 := kk - k1      // side 1 share
 
-	left, right := splitCells(h, cfg, r, cells, k1, k2)
+	left, right := splitCells(walk, h, cfg, r, cells, k1, k2)
 	res.Bisections++
-	bisect(h, cfg, r, left, lo, k1, parts, res)
-	bisect(h, cfg, r, right, lo+k1, k2, parts, res)
+	bisect(walk, h, cfg, r, left, lo, k1, parts, res)
+	bisect(walk, h, cfg, r, right, lo+k1, k2, parts, res)
 }
 
 // splitCells bisects the sub-hypergraph induced on cells into shares
 // k1 : k2 by weight.
-func splitCells(h *hypergraph.Hypergraph, cfg Config, r *rng.RNG, cells []int32, k1, k2 int) (left, right []int32) {
-	local := make(map[int32]int32, len(cells))
-	var subTotal int64
-	for i, v := range cells {
-		local[v] = int32(i)
-		subTotal += h.VertexWeight(v)
-	}
-
+func splitCells(walk *hypergraph.RegionWalk, h *hypergraph.Hypergraph, cfg Config, r *rng.RNG, cells []int32, k1, k2 int) (left, right []int32) {
 	b := hypergraph.NewBuilder(len(cells)+1, len(cells))
 	b.Name = "kway-sub"
+	var subTotal int64
 	for _, v := range cells {
 		b.AddVertex(h.VertexWeight(v))
+		subTotal += h.VertexWeight(v)
 	}
 	// Dummy vertex balancing unequal shares; weight 0 when k1 == k2.
-	kk := k1 + k2
-	dummyWeight := subTotal * int64(k1-k2) / int64(kk)
-	dummy := b.AddVertex(dummyWeight)
+	dummy := b.AddVertex(subTotal * int64(k1-k2) / int64(k1+k2))
+	walk.Walk(cells, func(e int32, in, _ []int32) {
+		if len(in) >= 2 {
+			b.AddEdge(h.EdgeWeight(e), in...)
+		}
+	})
+	sub := b.MustBuild()
+	fixed := partition.AllFree(sub.NumVertices())
+	fixed[dummy] = 1
+	return SplitCells(cells, Bisect(sub, fixed, cfg, r), k1, k2)
+}
 
-	seen := make(map[int32]bool)
-	for _, v := range cells {
-		for _, e := range h.IncidentEdges(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			var pins []int32
-			for _, u := range h.Pins(e) {
-				if lu, ok := local[u]; ok {
-					pins = append(pins, lu)
-				}
-			}
-			if len(pins) >= 2 {
-				b.AddEdge(h.EdgeWeight(e), pins...)
-			}
+// Bisect is the terminal bisection of a region instance that recursive
+// bisection and the top-down placer share: it bisects sub with the
+// vertices of fixed (one entry per vertex of sub, partition.Free where
+// unpinned) held on their sides, and returns the best of cfg.Starts
+// starts (legal before cut). Instances with more than cfg.MLThreshold
+// vertices use the multilevel engine unless cfg.DisableML; smaller ones
+// use flat FM with one engine across the starts.
+func Bisect(sub *hypergraph.Hypergraph, fixed []int8, cfg Config, r *rng.RNG) *partition.P {
+	cfg = cfg.withDefaults()
+	bal := partition.NewBalance(sub.TotalVertexWeight(), cfg.Tolerance)
+	var start func(r *rng.RNG) *partition.P
+	if !cfg.DisableML && sub.NumVertices() > cfg.MLThreshold {
+		ml := multilevel.New(sub, multilevel.Config{Refine: cfg.Refine}, bal)
+		start = func(r *rng.RNG) *partition.P {
+			p, _ := ml.PartitionFixed(fixed, r)
+			return p
+		}
+	} else {
+		eng := core.NewEngine(sub, cfg.Refine, bal, r.Split())
+		start = func(r *rng.RNG) *partition.P {
+			p := partition.NewFixed(sub, fixed)
+			p.RandomBalanced(r, bal)
+			eng.Run(p)
+			return p
 		}
 	}
-	sub := b.MustBuild()
-	bal := partition.NewBalance(sub.TotalVertexWeight(), cfg.Tolerance)
+	var best *partition.P
+	for s := 0; s < cfg.Starts; s++ {
+		p := start(r.Split())
+		if best == nil || (p.Legal(bal) && (!best.Legal(bal) || p.Cut() < best.Cut())) {
+			best = p
+		}
+	}
+	return best
+}
 
-	best := runBisection(sub, dummy, cfg, bal, r)
+// SplitCells splits cells, the first len(cells) vertices of p's
+// hypergraph in order, by their sides in p. If a side comes out empty (one
+// giant macro), it splits the list by count in the share k1 : k2 instead.
+func SplitCells(cells []int32, p *partition.P, k1, k2 int) (left, right []int32) {
 	for i, v := range cells {
-		if best.Side(int32(i)) == 0 {
+		if p.Side(int32(i)) == 0 {
 			left = append(left, v)
 		} else {
 			right = append(right, v)
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		// Degenerate guard (e.g. one giant macro): split by count.
-		half := len(cells) * k1 / kk
-		if half == 0 {
-			half = 1
-		}
+		half := max(len(cells)*k1/(k1+k2), 1)
 		return cells[:half], cells[half:]
 	}
 	return left, right
-}
-
-// runBisection performs cfg.Starts independent bisections of sub with the
-// dummy fixed to side 1, returning the best legal partition.
-func runBisection(sub *hypergraph.Hypergraph, dummy int32, cfg Config, bal partition.Balance, r *rng.RNG) *partition.P {
-	var best *partition.P
-	useML := !cfg.DisableML && sub.NumVertices() > cfg.MLThreshold
-	var ml *multilevel.Partitioner
-	var eng *core.Engine
-	if useML {
-		ml = multilevel.New(sub, multilevel.Config{Refine: cfg.Refine}, bal)
-	} else {
-		eng = core.NewEngine(sub, cfg.Refine, bal, r.Split())
-	}
-	for s := 0; s < cfg.Starts; s++ {
-		var p *partition.P
-		if useML {
-			fixed := make([]int8, sub.NumVertices())
-			for i := range fixed {
-				fixed[i] = partition.Free
-			}
-			fixed[dummy] = 1
-			p, _ = ml.PartitionFixed(fixed, r.Split())
-		} else {
-			p = partition.New(sub)
-			p.Fix(dummy, 1)
-			p.RandomBalanced(r.Split(), bal)
-			eng.Run(p)
-		}
-		if best == nil || (p.Legal(bal) && (!best.Legal(bal) || p.Cut() < best.Cut())) {
-			best = p
-		}
-	}
-	return best
 }

@@ -1,11 +1,15 @@
 package kway
 
 import (
+	"slices"
 	"testing"
 
+	"hgpart/internal/core"
 	"hgpart/internal/gen"
 	"hgpart/internal/hypergraph"
+	"hgpart/internal/multilevel"
 	"hgpart/internal/objective"
+	"hgpart/internal/partition"
 	"hgpart/internal/rng"
 )
 
@@ -185,5 +189,51 @@ func TestDirectRefineImproves(t *testing.T) {
 	}
 	if refined.Imbalance > 0.35 {
 		t.Fatalf("DirectRefine imbalance %.3f", refined.Imbalance)
+	}
+}
+
+// TestBisectHonorsFixed drives the shared terminal bisection down both of
+// its branches — the multilevel engine above MLThreshold and flat FM at or
+// below it — with a tenth of the vertices pinned, and checks every pin
+// holds, the result is legal, and each branch is the engine it claims to be.
+func TestBisectHonorsFixed(t *testing.T) {
+	h := instance(t, 700, 13)
+	fixed := partition.AllFree(h.NumVertices())
+	for v := 0; v < h.NumVertices(); v += 10 {
+		fixed[v] = int8(v / 10 % 2)
+	}
+	cfg := Config{Tolerance: 0.1}.withDefaults()
+	bal := partition.NewBalance(h.TotalVertexWeight(), cfg.Tolerance)
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		want      func(r *rng.RNG) *partition.P
+	}{
+		{"ml", h.NumVertices() - 1, func(r *rng.RNG) *partition.P {
+			p, _ := multilevel.New(h, multilevel.Config{Refine: cfg.Refine}, bal).PartitionFixed(fixed, r.Split())
+			return p
+		}},
+		{"flat", h.NumVertices(), func(r *rng.RNG) *partition.P {
+			eng := core.NewEngine(h, cfg.Refine, bal, r.Split())
+			p := partition.NewFixed(h, fixed)
+			p.RandomBalanced(r.Split(), bal)
+			eng.Run(p)
+			return p
+		}},
+	} {
+		c := cfg
+		c.MLThreshold = tc.threshold
+		p := Bisect(h, fixed, c, rng.New(14))
+		for v, f := range fixed {
+			if f != partition.Free && (p.Side(int32(v)) != uint8(f) || !p.IsFixed(int32(v))) {
+				t.Fatalf("%s: vertex %d pinned to %d ended on side %d (still fixed: %v)", tc.name, v, f, p.Side(int32(v)), p.IsFixed(int32(v)))
+			}
+		}
+		if !p.Legal(bal) || p.Cut() != p.CutFromScratch() {
+			t.Fatalf("%s: illegal or inconsistent result (cut %d)", tc.name, p.Cut())
+		}
+		if want := tc.want(rng.New(14)); !slices.Equal(p.Sides(), want.Sides()) {
+			t.Fatalf("%s: Bisect took the other branch (cut %d, branch engine cut %d)", tc.name, p.Cut(), want.Cut())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"slices"
 	"testing"
 
 	"hgpart/internal/core"
@@ -45,16 +46,21 @@ func TestPartitionFixedHonorsPins(t *testing.T) {
 }
 
 func TestPartitionFixedNoPinsMatchesQuality(t *testing.T) {
-	// With an all-Free vector, PartitionFixed must be a competent
-	// partitioner (comparable to Partition, not degenerate).
+	// Fixed vertices are an input to the one multilevel pipeline, so an
+	// all-Free vector must give exactly Partition's sides and Stats.
 	h := testInstance(t, 23, 600)
 	bal := partition.NewBalance(h.TotalVertexWeight(), 0.10)
 	ml := New(h, Config{Refine: core.StrongConfig(false)}, bal)
 	fixed := makeFixed(h.NumVertices(), nil)
-	pf, _ := ml.PartitionFixed(fixed, rng.New(24))
-	pu, _ := ml.Partition(rng.New(24))
-	if float64(pf.Cut()) > 1.6*float64(pu.Cut())+20 {
-		t.Fatalf("fixed path much worse without pins: %d vs %d", pf.Cut(), pu.Cut())
+	for seed := uint64(1); seed <= 5; seed++ {
+		pf, sf := ml.PartitionFixed(fixed, rng.New(seed))
+		pu, su := ml.Partition(rng.New(seed))
+		if sf != su {
+			t.Fatalf("seed %d: stats differ: fixed %+v, free %+v", seed, sf, su)
+		}
+		if !slices.Equal(pf.Sides(), pu.Sides()) {
+			t.Fatalf("seed %d: sides differ (cuts %d vs %d)", seed, pf.Cut(), pu.Cut())
+		}
 	}
 }
 

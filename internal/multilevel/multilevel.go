@@ -108,23 +108,47 @@ func New(h *hypergraph.Hypergraph, cfg Config, bal partition.Balance) *Partition
 	return &Partitioner{h: h, cfg: cfg.withDefaults(), bal: bal}
 }
 
-// level is one rung of the coarsening hierarchy.
+// level is one rung of the coarsening hierarchy: its hypergraph, the map
+// from the next-finer level's vertices into it (nil on the finest level),
+// and the restriction side and fixed-side vectors projected onto it (nil
+// when the start has none).
 type level struct {
 	h         *hypergraph.Hypergraph
-	clusterOf []int32 // maps this level's vertices to the next-coarser level
+	clusterOf []int32
+	sides     []uint8
+	fixed     []int8
 }
 
 // Partition runs one full multilevel start seeded by r and returns the
 // resulting fine-level partition.
 func (m *Partitioner) Partition(r *rng.RNG) (*partition.P, Stats) {
-	levels := m.coarsen(m.h, r, nil)
-	st := Stats{Levels: len(levels) + 1}
+	return m.start(nil, r)
+}
 
-	coarsest := m.h
-	if len(levels) > 0 {
-		coarsest = levels[len(levels)-1].h
+// PartitionFixed runs one multilevel start honoring fixedSide: entries are
+// partition.Free (-1), 0 or 1 per fine-level vertex. The returned partition
+// has those vertices fixed (and on their required sides).
+//
+// Fixed terminals are an input to the one pipeline, not a separate engine
+// (the paper's §2.1: in top-down placement almost every instance has
+// vertices fixed by terminal propagation or pad locations; Caldwell, Kahng,
+// Markov, DAC'99). Matching never merges vertices fixed to different sides,
+// clusters inherit their members' fixed sides, and the initial partitions
+// and every refinement level pin them. An all-Free vector gives exactly
+// Partition's result.
+func (m *Partitioner) PartitionFixed(fixedSide []int8, r *rng.RNG) (*partition.P, Stats) {
+	if len(fixedSide) != m.h.NumVertices() {
+		panic("multilevel: fixedSide length mismatch")
 	}
-	st.CoarsestVertices = coarsest.NumVertices()
+	return m.start(fixedSide, r)
+}
+
+// start is the one multilevel start: coarsen, partition the coarsest level,
+// uncoarsen. fixed == nil means no pinned vertices.
+func (m *Partitioner) start(fixed []int8, r *rng.RNG) (*partition.P, Stats) {
+	levels := m.coarsen(r, nil, fixed)
+	coarsest := levels[len(levels)-1]
+	st := Stats{Levels: len(levels), CoarsestVertices: coarsest.h.NumVertices()}
 
 	p := m.initialPartition(coarsest, r, &st)
 	p = m.uncoarsen(p, levels, r, &st)
@@ -136,29 +160,14 @@ func (m *Partitioner) Partition(r *rng.RNG) (*partition.P, Stats) {
 // (clusters never span the cut) followed by refinement during uncoarsening —
 // the technique hMetis-1.5 applies to the best of several starts.
 func (m *Partitioner) VCycle(p *partition.P, r *rng.RNG) Stats {
-	st := Stats{}
-	sides := p.Sides()
-	levels := m.coarsen(m.h, r, sides)
-	st.Levels = len(levels) + 1
+	levels := m.coarsen(r, p.Sides(), nil)
+	// Matching never crosses the cut, so every cluster has a well-defined
+	// side; coarsen projected it.
+	coarsest := levels[len(levels)-1]
+	st := Stats{Levels: len(levels), CoarsestVertices: coarsest.h.NumVertices()}
 
-	// Project the current partition down the restricted hierarchy. Because
-	// matching never crosses the cut, every cluster has a well-defined side.
-	cur := sides
-	for _, lv := range levels {
-		coarseSides := make([]uint8, lv.h.NumVertices())
-		for v, c := range lv.clusterOf {
-			coarseSides[c] = cur[v]
-		}
-		cur = coarseSides
-	}
-	coarsest := m.h
-	if len(levels) > 0 {
-		coarsest = levels[len(levels)-1].h
-	}
-	st.CoarsestVertices = coarsest.NumVertices()
-
-	cp := partition.New(coarsest)
-	if err := cp.Assign(cur); err != nil {
+	cp := partition.New(coarsest.h)
+	if err := cp.Assign(coarsest.sides); err != nil {
 		panic(err)
 	}
 	m.refine(cp, r, &st)
@@ -174,37 +183,43 @@ func (m *Partitioner) VCycle(p *partition.P, r *rng.RNG) Stats {
 	return st
 }
 
-// coarsen builds the hierarchy. When restrictSides is non-nil, matching only
-// pairs vertices on the same side (V-cycle mode). The returned slice is
-// ordered fine-to-coarse; levels[i].clusterOf maps level-i vertices into
-// level i+1 (level 0 input is h itself).
-func (m *Partitioner) coarsen(h *hypergraph.Hypergraph, r *rng.RNG, restrictSides []uint8) []level {
-	var levels []level
-	cur := h
-	sides := restrictSides
-	cap64 := int64(m.cfg.ClusterCapFrac * float64(h.TotalVertexWeight()))
-	if slack := m.bal.Slack(); slack > h.TotalVertexWeight()/200 && slack < cap64 {
+// coarsen builds the hierarchy over m.h, finest first: levels[0] is m.h
+// itself, and levels[i].clusterOf maps level i-1's vertices into level i.
+// When sides is non-nil, matching only pairs vertices on the same side
+// (V-cycle mode); when fixed is non-nil, it never pairs vertices fixed to
+// different sides. Both vectors are projected onto every level.
+func (m *Partitioner) coarsen(r *rng.RNG, sides []uint8, fixed []int8) []level {
+	levels := []level{{h: m.h, sides: sides, fixed: fixed}}
+	cap64 := int64(m.cfg.ClusterCapFrac * float64(m.h.TotalVertexWeight()))
+	if slack := m.bal.Slack(); slack > m.h.TotalVertexWeight()/200 && slack < cap64 {
 		cap64 = slack
 	}
 	if cap64 < 1 {
 		cap64 = 1
 	}
 
-	for cur.NumVertices() > m.cfg.CoarsestSize {
-		clusterOf, numClusters := m.matchWith(cur, r, sides, nil, cap64)
-		if float64(cur.NumVertices()-numClusters) < m.cfg.StallFraction*float64(cur.NumVertices()) {
+	for cur := levels[0]; cur.h.NumVertices() > m.cfg.CoarsestSize; cur = levels[len(levels)-1] {
+		clusterOf, numClusters := m.matchWith(cur.h, r, cur.sides, cur.fixed, cap64)
+		if float64(cur.h.NumVertices()-numClusters) < m.cfg.StallFraction*float64(cur.h.NumVertices()) {
 			break // coarsening stalled
 		}
-		coarse, _ := cur.Contract(clusterOf, numClusters)
-		levels = append(levels, level{h: coarse, clusterOf: clusterOf})
-		if sides != nil {
-			next := make([]uint8, numClusters)
+		coarse, _ := cur.h.Contract(clusterOf, numClusters)
+		lv := level{h: coarse, clusterOf: clusterOf}
+		if cur.sides != nil {
+			lv.sides = make([]uint8, numClusters)
 			for v, c := range clusterOf {
-				next[c] = sides[v]
+				lv.sides[c] = cur.sides[v]
 			}
-			sides = next
 		}
-		cur = coarse
+		if cur.fixed != nil {
+			lv.fixed = partition.AllFree(numClusters)
+			for v, c := range clusterOf {
+				if f := cur.fixed[v]; f != partition.Free {
+					lv.fixed[c] = f // match keeps members compatible
+				}
+			}
+		}
+		levels = append(levels, lv)
 	}
 	return levels
 }
@@ -277,13 +292,14 @@ func (m *Partitioner) match(h *hypergraph.Hypergraph, r *rng.RNG, sides []uint8,
 }
 
 // initialPartition generates InitialTries random balanced solutions at the
-// coarsest level, refines each, and keeps the best legal one.
-func (m *Partitioner) initialPartition(coarsest *hypergraph.Hypergraph, r *rng.RNG, st *Stats) *partition.P {
-	eng := m.engineFor(coarsest, r.Split())
+// coarsest level, with its fixed vertices pinned, refines each, and keeps
+// the best legal one.
+func (m *Partitioner) initialPartition(coarsest level, r *rng.RNG, st *Stats) *partition.P {
+	eng := m.engineFor(coarsest.h, r.Split())
 	var best *partition.P
 	var bestCut int64
 	for t := 0; t < m.cfg.InitialTries; t++ {
-		p := partition.New(coarsest)
+		p := partition.NewFixed(coarsest.h, coarsest.fixed)
 		p.RandomBalanced(r.Split(), m.bal)
 		res := eng.Run(p)
 		st.Work += res.Work
@@ -298,7 +314,7 @@ func (m *Partitioner) initialPartition(coarsest *hypergraph.Hypergraph, r *rng.R
 	if best == nil {
 		// Every try was infeasible (pathological weights); fall back to the
 		// last random solution and let refinement legalize what it can.
-		best = partition.New(coarsest)
+		best = partition.NewFixed(coarsest.h, coarsest.fixed)
 		best.RandomBalanced(r.Split(), m.bal)
 	}
 	return best
@@ -306,25 +322,20 @@ func (m *Partitioner) initialPartition(coarsest *hypergraph.Hypergraph, r *rng.R
 
 // uncoarsen projects p up through the hierarchy, refining at each level.
 func (m *Partitioner) uncoarsen(p *partition.P, levels []level, r *rng.RNG, st *Stats) *partition.P {
-	for i := len(levels) - 1; i >= 0; i-- {
-		var fine *hypergraph.Hypergraph
-		if i == 0 {
-			fine = m.h
-		} else {
-			fine = levels[i-1].h
-		}
+	for i := len(levels) - 1; i > 0; i-- {
+		fine := levels[i-1]
 		coarseSides := p.Sides()
-		fineSides := make([]uint8, fine.NumVertices())
+		fineSides := make([]uint8, fine.h.NumVertices())
 		for v := range fineSides {
 			fineSides[v] = coarseSides[levels[i].clusterOf[v]]
 		}
-		p = partition.New(fine)
+		p = partition.NewFixed(fine.h, fine.fixed)
 		if err := p.Assign(fineSides); err != nil {
 			panic(err)
 		}
 		m.refine(p, r, st)
 	}
-	if len(levels) == 0 {
+	if len(levels) == 1 {
 		m.refine(p, r, st)
 	}
 	return p

@@ -83,6 +83,27 @@ func New(h *hypergraph.Hypergraph) *P {
 	return p
 }
 
+// NewFixed is New with every non-Free entry of fixed pinned to its side;
+// fixed may be nil (nothing pinned).
+func NewFixed(h *hypergraph.Hypergraph, fixed []int8) *P {
+	p := New(h)
+	for v, f := range fixed {
+		if f != Free {
+			p.Fix(int32(v), f)
+		}
+	}
+	return p
+}
+
+// AllFree returns a fixed-side vector of n Free entries.
+func AllFree(n int) []int8 {
+	fixed := make([]int8, n)
+	for i := range fixed {
+		fixed[i] = Free
+	}
+	return fixed
+}
+
 // recount rebuilds areas, per-net counts and the cut from the side vector.
 func (p *P) recount() {
 	p.area = [2]int64{}

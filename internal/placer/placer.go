@@ -17,7 +17,7 @@ import (
 
 	"hgpart/internal/core"
 	"hgpart/internal/hypergraph"
-	"hgpart/internal/multilevel"
+	"hgpart/internal/kway"
 	"hgpart/internal/partition"
 	"hgpart/internal/rng"
 )
@@ -120,6 +120,7 @@ func Place(h *hypergraph.Hypergraph, cfg Config) (*Placement, error) {
 	for i := range all {
 		all[i] = int32(i)
 	}
+	walk := hypergraph.NewRegionWalk(h)
 	queue := []region{{0, 0, 1, 1, all, true}}
 	for len(queue) > 0 {
 		reg := queue[0]
@@ -129,7 +130,7 @@ func Place(h *hypergraph.Hypergraph, cfg Config) (*Placement, error) {
 			continue
 		}
 		if cfg.Quadrisection && len(reg.cells) > 4*cfg.MaxCellsPerRegion {
-			quads := quadrisectRegion(h, pl, reg, cfg, r)
+			quads := quadrisectRegion(walk, h, pl, reg, cfg, r)
 			children := quadrantRegions(reg, quads)
 			for qi, child := range children {
 				// Stamp quadrant centers for later terminal propagation.
@@ -144,7 +145,7 @@ func Place(h *hypergraph.Hypergraph, cfg Config) (*Placement, error) {
 			pl.FixedTerminalInstances++ // attraction assignment used terminals
 			continue
 		}
-		left, right := bisectRegion(h, pl, reg, cfg, r)
+		left, right := bisectRegion(walk, h, pl, reg, cfg, r)
 		midX := (reg.x0 + reg.x1) / 2
 		midY := (reg.y0 + reg.y1) / 2
 		if reg.vertical {
@@ -205,13 +206,8 @@ func spread(pl *Placement, reg region, r *rng.RNG) {
 
 // bisectRegion extracts the sub-hypergraph induced by the region's cells,
 // adds propagated terminals, partitions it and splits the cell list.
-func bisectRegion(h *hypergraph.Hypergraph, pl *Placement, reg region, cfg Config, r *rng.RNG) (left, right []int32) {
+func bisectRegion(walk *hypergraph.RegionWalk, h *hypergraph.Hypergraph, pl *Placement, reg region, cfg Config, r *rng.RNG) (left, right []int32) {
 	cells := reg.cells
-	local := make(map[int32]int32, len(cells))
-	for i, v := range cells {
-		local[v] = int32(i)
-	}
-
 	b := hypergraph.NewBuilder(len(cells)+2, 64)
 	b.Name = "region"
 	for _, v := range cells {
@@ -236,76 +232,40 @@ func bisectRegion(h *hypergraph.Hypergraph, pl *Placement, reg region, cfg Confi
 		return 1
 	}
 
-	seen := make(map[int32]bool)
 	hasTerminals := false
-	for _, v := range cells {
-		for _, e := range h.IncidentEdges(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			var pins []int32
-			ext := [2]bool{}
-			for _, u := range h.Pins(e) {
-				if lu, ok := local[u]; ok {
-					pins = append(pins, lu)
-				} else {
-					ext[externalSide(u)] = true
-				}
-			}
-			if len(pins) == 0 {
-				continue
-			}
-			if ext[0] {
-				pins = append(pins, t0)
-				hasTerminals = true
-			}
-			if ext[1] {
-				pins = append(pins, t1)
-				hasTerminals = true
-			}
-			if len(pins) >= 2 {
-				b.AddEdge(h.EdgeWeight(e), pins...)
-			}
+	var pins []int32
+	walk.Walk(cells, func(e int32, in, out []int32) {
+		pins = append(pins[:0], in...)
+		var ext [2]bool
+		for _, u := range out {
+			ext[externalSide(u)] = true
 		}
-	}
+		if ext[0] {
+			pins = append(pins, t0)
+		}
+		if ext[1] {
+			pins = append(pins, t1)
+		}
+		hasTerminals = hasTerminals || len(out) > 0
+		if len(pins) >= 2 {
+			b.AddEdge(h.EdgeWeight(e), pins...)
+		}
+	})
 	sub := b.MustBuild()
 	if hasTerminals {
 		pl.FixedTerminalInstances++
 	}
 
-	bal := partition.NewBalance(sub.TotalVertexWeight(), cfg.Tolerance)
-	var p *partition.P
-	if !cfg.DisableML && len(cells) > cfg.MLThreshold {
-		// The fixed-vertex multilevel path keeps the propagated terminals
-		// pinned through coarsening, initial partitioning and refinement.
-		ml := multilevel.New(sub, multilevel.Config{Refine: cfg.Refine}, bal)
-		fixed := make([]int8, sub.NumVertices())
-		for i := range fixed {
-			fixed[i] = partition.Free
-		}
-		fixed[t0], fixed[t1] = 0, 1
-		p, _ = ml.PartitionFixed(fixed, r.Split())
-	} else {
-		p = partition.New(sub)
-		p.Fix(t0, 0)
-		p.Fix(t1, 1)
-		p.RandomBalanced(r.Split(), bal)
-		eng := core.NewEngine(sub, cfg.Refine, bal, r.Split())
-		eng.Run(p)
-	}
-
-	for i, v := range cells {
-		if p.Side(int32(i)) == 0 {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
-	// Degenerate guard: never return an empty side.
-	if len(left) == 0 || len(right) == 0 {
-		half := len(cells) / 2
-		return cells[:half], cells[half:]
-	}
-	return left, right
+	// The propagated terminals stay pinned through every start, coarsening
+	// level and refinement pass.
+	fixed := partition.AllFree(sub.NumVertices())
+	fixed[t0], fixed[t1] = 0, 1
+	p := kway.Bisect(sub, fixed, kway.Config{
+		Tolerance:   cfg.Tolerance,
+		Refine:      cfg.Refine,
+		DisableML:   cfg.DisableML,
+		MLThreshold: cfg.MLThreshold,
+		Starts:      1,
+	}, r)
+	return kway.SplitCells(cells, p, 1, 1)
 }

@@ -2,6 +2,7 @@ package placer
 
 import (
 	"math"
+	"slices"
 
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/kway"
@@ -20,49 +21,36 @@ import (
 
 // quadrisectRegion splits reg's cells into four child quadrant cell lists
 // (ordered: SW, SE, NW, NE).
-func quadrisectRegion(h *hypergraph.Hypergraph, pl *Placement, reg region, cfg Config, r *rng.RNG) [4][]int32 {
+func quadrisectRegion(walk *hypergraph.RegionWalk, h *hypergraph.Hypergraph, pl *Placement, reg region, cfg Config, r *rng.RNG) [4][]int32 {
 	cells := reg.cells
-	local := make(map[int32]int32, len(cells))
-	for i, v := range cells {
-		local[v] = int32(i)
-	}
-
-	// Induced sub-hypergraph (external pins recorded separately for the
-	// quadrant-assignment step).
+	// Induced sub-hypergraph. A net with external pins also records its
+	// local pins and the centroid of its external pins (already-placed
+	// estimates) for the quadrant-assignment step.
 	b := hypergraph.NewBuilder(len(cells), len(cells))
 	b.Name = "quad-region"
 	for _, v := range cells {
 		b.AddVertex(h.VertexWeight(v))
 	}
 	type extNet struct {
-		edge int32
-		pins []int32 // local pins
+		w, cx, cy float64
+		pins      []int32 // local pins
 	}
 	var externals []extNet
-	seen := make(map[int32]bool)
-	for _, v := range cells {
-		for _, e := range h.IncidentEdges(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			var pins []int32
-			hasExternal := false
-			for _, u := range h.Pins(e) {
-				if lu, ok := local[u]; ok {
-					pins = append(pins, lu)
-				} else {
-					hasExternal = true
-				}
-			}
-			if len(pins) >= 2 {
-				b.AddEdge(h.EdgeWeight(e), pins...)
-			}
-			if hasExternal && len(pins) >= 1 {
-				externals = append(externals, extNet{edge: e, pins: pins})
-			}
+	walk.Walk(cells, func(e int32, in, out []int32) {
+		if len(in) >= 2 {
+			b.AddEdge(h.EdgeWeight(e), in...)
 		}
-	}
+		if len(out) == 0 {
+			return
+		}
+		var cx, cy float64
+		for _, u := range out {
+			cx += pl.X[u]
+			cy += pl.Y[u]
+		}
+		n := float64(len(out))
+		externals = append(externals, extNet{w: float64(h.EdgeWeight(e)), cx: cx / n, cy: cy / n, pins: slices.Clone(in)})
+	})
 	sub := b.MustBuild()
 
 	res, err := kway.Partition(sub, 4, kway.Config{
@@ -98,28 +86,12 @@ func quadrisectRegion(h *hypergraph.Hypergraph, pl *Placement, reg region, cfg C
 		for _, lp := range en.pins {
 			touches[res.Parts[lp]] = true
 		}
-		// Centroid of the net's external pins (already-placed estimates).
-		var cx, cy float64
-		cnt := 0
-		for _, u := range h.Pins(en.edge) {
-			if _, ok := local[u]; !ok {
-				cx += pl.X[u]
-				cy += pl.Y[u]
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			continue
-		}
-		cx /= float64(cnt)
-		cy /= float64(cnt)
-		w := float64(h.EdgeWeight(en.edge))
 		for p := 0; p < 4; p++ {
 			if !touches[p] {
 				continue
 			}
 			for q := 0; q < 4; q++ {
-				attraction[p][q] += w * (math.Abs(qx[q]-cx) + math.Abs(qy[q]-cy))
+				attraction[p][q] += en.w * (math.Abs(qx[q]-en.cx) + math.Abs(qy[q]-en.cy))
 			}
 		}
 	}

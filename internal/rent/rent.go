@@ -81,20 +81,21 @@ func Analyze(h *hypergraph.Hypergraph, opt Options) (Estimate, error) {
 	}
 	// The whole design is one observation only if it has external pins —
 	// it does not, so start sampling at the first split.
+	walk := hypergraph.NewRegionWalk(h)
 	var recurse func(cells []int32)
 	recurse = func(cells []int32) {
-		samples = append(samples, Sample{Cells: len(cells), Terminals: externalNets(h, cells)})
+		samples = append(samples, Sample{Cells: len(cells), Terminals: externalNets(walk, cells)})
 		if len(cells) <= opt.MinBlock {
 			return
 		}
-		left, right := bisectBlock(h, cells, opt, r)
+		left, right := bisectBlock(walk, cells, opt, r)
 		if len(left) == 0 || len(right) == 0 {
 			return
 		}
 		recurse(left)
 		recurse(right)
 	}
-	left, right := bisectBlock(h, all, opt, r)
+	left, right := bisectBlock(walk, all, opt, r)
 	recurse(left)
 	recurse(right)
 
@@ -102,67 +103,28 @@ func Analyze(h *hypergraph.Hypergraph, opt Options) (Estimate, error) {
 }
 
 // externalNets counts nets with pins both inside and outside the block.
-func externalNets(h *hypergraph.Hypergraph, cells []int32) int {
-	in := make(map[int32]bool, len(cells))
-	for _, v := range cells {
-		in[v] = true
-	}
-	seen := make(map[int32]bool)
+func externalNets(walk *hypergraph.RegionWalk, cells []int32) int {
 	count := 0
-	for _, v := range cells {
-		for _, e := range h.IncidentEdges(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			inside, outside := false, false
-			for _, u := range h.Pins(e) {
-				if in[u] {
-					inside = true
-				} else {
-					outside = true
-				}
-				if inside && outside {
-					count++
-					break
-				}
-			}
+	walk.Walk(cells, func(_ int32, _, out []int32) {
+		if len(out) > 0 {
+			count++
 		}
-	}
+	})
 	return count
 }
 
 // bisectBlock splits a block with tuned flat FM on the induced
 // sub-hypergraph (external pins dropped — Rent estimation conventionally
 // uses intrinsic partitioning).
-func bisectBlock(h *hypergraph.Hypergraph, cells []int32, opt Options, r *rng.RNG) (left, right []int32) {
-	local := make(map[int32]int32, len(cells))
-	for i, v := range cells {
-		local[v] = int32(i)
-	}
+func bisectBlock(walk *hypergraph.RegionWalk, cells []int32, opt Options, r *rng.RNG) (left, right []int32) {
 	b := hypergraph.NewBuilder(len(cells), len(cells))
 	b.Name = "rent-block"
-	for range cells {
-		b.AddVertex(1) // unit weights: Rent counts cells, not area
-	}
-	seen := make(map[int32]bool)
-	for _, v := range cells {
-		for _, e := range h.IncidentEdges(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			var pins []int32
-			for _, u := range h.Pins(e) {
-				if lu, ok := local[u]; ok {
-					pins = append(pins, lu)
-				}
-			}
-			if len(pins) >= 2 {
-				b.AddEdge(1, pins...)
-			}
+	b.AddVertices(len(cells), 1) // unit weights: Rent counts cells, not area
+	walk.Walk(cells, func(_ int32, in, _ []int32) {
+		if len(in) >= 2 {
+			b.AddEdge(1, in...)
 		}
-	}
+	})
 	sub := b.MustBuild()
 	bal := partition.NewBalance(sub.TotalVertexWeight(), opt.Tolerance)
 	p := partition.New(sub)

@@ -99,9 +99,11 @@ func PartWeights(h *Hypergraph, a Assignment, k int) []int64 {
 	return objective.PartWeights(h, a, k)
 }
 
-// BisectFixed partitions h into two sides with the given fixed-side vector
-// (entries FreeVertex, 0 or 1) using the fixed-vertex multilevel engine —
-// the instance class §2.1 of the paper argues real placement flows produce.
+// BisectFixed runs one multilevel start on h with the given fixed-side
+// vector (entries FreeVertex, 0 or 1) as an input — the instance class §2.1
+// of the paper argues real placement flows produce. It is the engine's one
+// pipeline, so an all-FreeVertex vector gives exactly what an MLPartitioner
+// with the same balance and seed returns from Partition.
 func BisectFixed(h *Hypergraph, fixedSide []int8, tolerance float64, seed uint64) (*Partition, MLStats) {
 	bal := NewBalance(h.TotalVertexWeight(), tolerance)
 	ml := NewMLPartitioner(h, MLConfig{Refine: StrongFMConfig(false)}, bal)
