@@ -23,7 +23,7 @@ type (
 	SpectralOptions = spectral.Options
 	// SpectralResult reports a spectral bisection.
 	SpectralResult = spectral.Result
-	// TraceRecorder records FM pass/move trajectories (implements the
+	// TraceRecorder records per-pass FM traces (implements the
 	// engine Tracer).
 	TraceRecorder = trace.Recorder
 	// TraceSummary aggregates a recorded run.

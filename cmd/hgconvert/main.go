@@ -8,21 +8,24 @@
 //	hgconvert -in design.netD -are design.are -out d -to patoh
 //	hgconvert -nodes d.nodes -nets d.nets -out d   -to hgr
 //
-// The output basename gets format-appropriate extensions appended.
+// The input format is chosen by extension unless -from names it: .hgr for
+// hMETIS, .patoh/.u for PaToH, anything else is parsed as ISPD98 .netD/.net
+// (with -are supplying areas). The output basename gets format-appropriate
+// extensions appended.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"hgpart"
+	"hgpart/internal/netlist"
 )
 
 func main() {
 	var (
-		inPath    = flag.String("in", "", "input netlist (.hgr, .netD/.net, or .patoh by -from)")
+		inPath    = flag.String("in", "", "input netlist (.hgr, .patoh/.u, or .netD/.net; -from overrides)")
 		arePath   = flag.String("are", "", "ISPD98 .are areas for -in *.netD")
 		nodesPath = flag.String("nodes", "", "Bookshelf .nodes (with -nets)")
 		netsPath  = flag.String("nets", "", "Bookshelf .nets (with -nodes)")
@@ -35,122 +38,20 @@ func main() {
 		fatal(fmt.Errorf("need -out <basename>"))
 	}
 
-	h, err := read(*inPath, *arePath, *nodesPath, *netsPath, *from)
+	if *inPath == "" && (*nodesPath == "" || *netsPath == "") {
+		fatal(fmt.Errorf("need -in or -nodes/-nets"))
+	}
+	h, _, err := netlist.ReadFiles(netlist.Files{
+		Path: *inPath, Are: *arePath, Format: *from, Nodes: *nodesPath, Nets: *netsPath,
+	})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprint(os.Stderr, hgpart.ComputeStats(h))
 
-	if err := write(h, *to, *outPath); err != nil {
+	if err := netlist.WriteFiles(h, *to, *outPath); err != nil {
 		fatal(err)
 	}
-}
-
-func read(inPath, arePath, nodesPath, netsPath, from string) (*hgpart.Hypergraph, error) {
-	if nodesPath != "" && netsPath != "" {
-		nf, err := os.Open(nodesPath)
-		if err != nil {
-			return nil, err
-		}
-		defer nf.Close()
-		ef, err := os.Open(netsPath)
-		if err != nil {
-			return nil, err
-		}
-		defer ef.Close()
-		d, err := hgpart.ParseBookshelf(nf, ef, nodesPath)
-		if err != nil {
-			return nil, err
-		}
-		return d.H, nil
-	}
-	if inPath == "" {
-		return nil, fmt.Errorf("need -in or -nodes/-nets")
-	}
-	f, err := os.Open(inPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	format := from
-	if format == "" {
-		switch {
-		case strings.HasSuffix(inPath, ".hgr"):
-			format = "hgr"
-		case strings.HasSuffix(inPath, ".netD"), strings.HasSuffix(inPath, ".net"):
-			format = "netd"
-		case strings.HasSuffix(inPath, ".patoh"), strings.HasSuffix(inPath, ".u"):
-			format = "patoh"
-		default:
-			return nil, fmt.Errorf("cannot infer format of %q; use -from", inPath)
-		}
-	}
-	switch format {
-	case "hgr":
-		return hgpart.ParseHGR(f, inPath)
-	case "netd":
-		if arePath != "" {
-			af, err := os.Open(arePath)
-			if err != nil {
-				return nil, err
-			}
-			defer af.Close()
-			return hgpart.ParseNetD(f, af, inPath)
-		}
-		return hgpart.ParseNetD(f, nil, inPath)
-	case "patoh":
-		return hgpart.ParsePaToH(f, inPath)
-	}
-	return nil, fmt.Errorf("unknown input format %q", format)
-}
-
-func write(h *hgpart.Hypergraph, to, base string) error {
-	create := func(path string) (*os.File, error) { return os.Create(path) }
-	switch to {
-	case "hgr":
-		f, err := create(base + ".hgr")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return hgpart.WriteHGR(f, h)
-	case "netd":
-		nf, err := create(base + ".netD")
-		if err != nil {
-			return err
-		}
-		defer nf.Close()
-		if err := hgpart.WriteNetD(nf, h); err != nil {
-			return err
-		}
-		af, err := create(base + ".are")
-		if err != nil {
-			return err
-		}
-		defer af.Close()
-		return hgpart.WriteAre(af, h)
-	case "patoh":
-		f, err := create(base + ".patoh")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return hgpart.WritePaToH(f, h)
-	case "bookshelf":
-		nf, err := create(base + ".nodes")
-		if err != nil {
-			return err
-		}
-		defer nf.Close()
-		ef, err := create(base + ".nets")
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		return hgpart.WriteBookshelf(nf, ef, h, nil)
-	}
-	return fmt.Errorf("unknown output format %q", to)
 }
 
 func fatal(err error) {

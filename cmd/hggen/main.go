@@ -6,7 +6,11 @@
 //	hggen -ibm 1 -scale 0.25 -format hgr -o ibm01q.hgr
 //	hggen -cells 20000 -nets 22000 -avgnet 3.8 -format netd -o custom
 //
-// With -format netd, two files are written: <o>.netD and <o>.are.
+// With -format netd, two files are written: <o>.netD and <o>.are. -seed 0
+// (the default) keeps the profile's own instance seed and any other value is
+// the instance seed, the rule hgserved applies to "instance_seed": hggen
+// -ibm 1 -seed 7 writes the instance {"benchmark":"ibm01","instance_seed":7}
+// partitions.
 package main
 
 import (
@@ -15,6 +19,8 @@ import (
 	"os"
 
 	"hgpart"
+	"hgpart/internal/gen"
+	"hgpart/internal/netlist"
 )
 
 func main() {
@@ -25,7 +31,7 @@ func main() {
 		nets    = flag.Int("nets", 11000, "net count (when -ibm 0)")
 		avgnet  = flag.Float64("avgnet", 3.6, "target average net size (when -ibm 0)")
 		unit    = flag.Bool("unit", false, "unit areas (MCNC-style) instead of actual areas")
-		seed    = flag.Uint64("seed", 1, "generator seed")
+		seed    = flag.Uint64("seed", 0, "instance seed (0 = the profile's own, the instance hgserved builds without instance_seed)")
 		format  = flag.String("format", "hgr", "output format: hgr or netd")
 		outPath = flag.String("o", "", "output path (stdout for hgr if empty)")
 	)
@@ -35,15 +41,15 @@ func main() {
 		fatal(fmt.Errorf("-scale %g out of range (0,1]", *scale))
 	}
 
-	var spec hgpart.GenSpec
+	var spec gen.Spec
 	if *ibm > 0 {
-		s, err := hgpart.IBMProfile(*ibm)
+		s, _, err := gen.Benchmark(fmt.Sprint("ibm", *ibm), *scale, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		spec = s
 	} else {
-		spec = hgpart.GenSpec{
+		spec = gen.Instance(gen.Spec{
 			Name:          fmt.Sprintf("custom-%dc", *cells),
 			Cells:         *cells,
 			Nets:          *nets,
@@ -53,17 +59,11 @@ func main() {
 			NumGlobalNets: 2,
 			GlobalNetFrac: 0.01,
 			Locality:      2,
-		}
-	}
-	if *scale < 1 {
-		spec = hgpart.Scaled(spec, *scale)
+		}, *scale, *seed)
 	}
 	spec.UnitArea = *unit
-	if *seed != 1 {
-		spec.Seed = *seed
-	}
 
-	h, err := hgpart.Generate(spec)
+	h, err := gen.Generate(spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -80,27 +80,14 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if err := hgpart.WriteHGR(w, h); err != nil {
+		if err := netlist.WriteHGR(w, h); err != nil {
 			fatal(err)
 		}
 	case "netd":
 		if *outPath == "" {
 			fatal(fmt.Errorf("-format netd requires -o <basename>"))
 		}
-		nf, err := os.Create(*outPath + ".netD")
-		if err != nil {
-			fatal(err)
-		}
-		defer nf.Close()
-		if err := hgpart.WriteNetD(nf, h); err != nil {
-			fatal(err)
-		}
-		af, err := os.Create(*outPath + ".are")
-		if err != nil {
-			fatal(err)
-		}
-		defer af.Close()
-		if err := hgpart.WriteAre(af, h); err != nil {
+		if err := netlist.WriteFiles(h, "netd", *outPath); err != nil {
 			fatal(err)
 		}
 	default:

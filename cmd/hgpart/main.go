@@ -18,11 +18,12 @@
 //	hgpart -ibm 18 -starts 100 -timeout 2m -checkpoint run.jsonl
 //	hgpart -ibm 18 -starts 100 -checkpoint run.jsonl -resume
 //
-// Input format is chosen by extension: .hgr for hMETIS, anything else is
-// parsed as ISPD98 .netD/.net (with -are supplying areas). -seed seeds the
-// partitioner only: -ibm always generates the profile's own instance, the
-// one hgserved partitions for {"benchmark":"ibmN"}; write another instance
-// seed with hggen -seed and read it with -in.
+// Input format is chosen by extension: .hgr for hMETIS, .patoh/.u for
+// PaToH, anything else is parsed as ISPD98 .netD/.net (with -are supplying
+// areas). -seed seeds the partitioner only: -ibm always generates the
+// profile's own instance, the one hgserved partitions for
+// {"benchmark":"ibmN"}; write another instance seed with hggen -seed and
+// read it with -in.
 //
 // -o <file> writes the best partition assignment, one line per vertex in
 // instance order: side 0/1 for bisection, the part id for -k > 2.
@@ -41,15 +42,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"hgpart"
+	"hgpart/internal/gen"
+	"hgpart/internal/netlist"
 )
 
 func main() {
 	var (
-		inPath  = flag.String("in", "", "input netlist (.hgr or .netD/.net)")
+		inPath  = flag.String("in", "", "input netlist (.hgr, .patoh/.u, or .netD/.net)")
 		arePath = flag.String("are", "", "ISPD98 .are area file (optional)")
 		ibm     = flag.Int("ibm", 0, "generate ISPD98-like profile 1-18 instead of reading a file")
 		scale   = flag.Float64("scale", 1.0, "downscale factor for -ibm, in (0,1]")
@@ -338,7 +340,7 @@ func runTraced(h *hgpart.Hypergraph, bal hgpart.Balance, engine, path string, se
 	cfg.ReferenceImpl = reference
 	r := hgpart.NewRNG(seed)
 	eng := hgpart.NewFMEngine(h, cfg, bal, r)
-	rec := &hgpart.TraceRecorder{KeepTrajectories: true}
+	rec := &hgpart.TraceRecorder{}
 	eng.SetTracer(rec)
 	p := hgpart.NewPartition(h)
 	p.RandomBalanced(r, bal)
@@ -392,36 +394,17 @@ func writeAssignment(path string, n int, part func(int) int32) {
 
 func loadInstance(inPath, arePath string, ibm int, scale float64) (*hgpart.Hypergraph, error) {
 	if ibm > 0 {
-		spec, err := hgpart.IBMProfile(ibm)
+		spec, _, err := gen.Benchmark(fmt.Sprint("ibm", ibm), scale, 0)
 		if err != nil {
 			return nil, err
 		}
-		if scale < 1 {
-			spec = hgpart.Scaled(spec, scale)
-		}
-		return hgpart.Generate(spec)
+		return gen.Generate(spec)
 	}
 	if inPath == "" {
 		return nil, fmt.Errorf("need -in <file> or -ibm <n>")
 	}
-	f, err := os.Open(inPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(inPath, ".hgr") {
-		return hgpart.ParseHGR(f, inPath)
-	}
-	var are *os.File
-	if arePath != "" {
-		are, err = os.Open(arePath)
-		if err != nil {
-			return nil, err
-		}
-		defer are.Close()
-		return hgpart.ParseNetD(f, are, inPath)
-	}
-	return hgpart.ParseNetD(f, nil, inPath)
+	h, _, err := netlist.ReadFiles(netlist.Files{Path: inPath, Are: arePath})
+	return h, err
 }
 
 // Exit codes, documented in the command comment above. fatal classifies

@@ -13,15 +13,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"hgpart"
+	"hgpart/internal/gen"
+	"hgpart/internal/netlist"
 )
 
 func main() {
 	var (
-		inPath    = flag.String("in", "", "input netlist (.hgr or .netD)")
+		inPath    = flag.String("in", "", "input netlist (.hgr, .patoh/.u, or .netD/.net)")
 		nodesPath = flag.String("nodes", "", "Bookshelf .nodes file (with -nets)")
 		netsPath  = flag.String("nets", "", "Bookshelf .nets file (with -nodes)")
 		ibm       = flag.Int("ibm", 0, "generate ISPD98-like profile 1-18")
@@ -30,7 +31,7 @@ func main() {
 		leaf      = flag.Int("leaf", 16, "max cells per leaf region")
 		flat      = flag.Bool("flat", false, "disable the multilevel engine")
 		quad      = flag.Bool("quad", false, "quadrisection (Suaris-Kedem) instead of alternating bisection")
-		seed      = flag.Uint64("seed", 1, "random seed")
+		seed      = flag.Uint64("seed", 1, "placer seed (-ibm is always the profile's own instance)")
 		plPath    = flag.String("pl", "", "write Bookshelf .pl placement to this file")
 	)
 	flag.Parse()
@@ -42,7 +43,7 @@ func main() {
 		fatal(fmt.Errorf("-tol %g out of range (0,1)", *tol))
 	}
 
-	h, terminals, err := load(*inPath, *nodesPath, *netsPath, *ibm, *scale, *seed)
+	h, terminals, err := load(*inPath, *nodesPath, *netsPath, *ibm, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,57 +84,28 @@ func main() {
 	}
 }
 
-func load(inPath, nodesPath, netsPath string, ibm int, scale float64, seed uint64) (*hgpart.Hypergraph, int, error) {
-	switch {
-	case nodesPath != "" && netsPath != "":
-		nf, err := os.Open(nodesPath)
+// load reads the Bookshelf pair, else generates -ibm, else reads -in. -seed
+// seeds the placer only: -ibm is always the profile's own instance.
+func load(inPath, nodesPath, netsPath string, ibm int, scale float64) (*hgpart.Hypergraph, int, error) {
+	if ibm > 0 && (nodesPath == "" || netsPath == "") {
+		spec, _, err := gen.Benchmark(fmt.Sprint("ibm", ibm), scale, 0)
 		if err != nil {
 			return nil, 0, err
 		}
-		defer nf.Close()
-		ef, err := os.Open(netsPath)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer ef.Close()
-		d, err := hgpart.ParseBookshelf(nf, ef, nodesPath)
-		if err != nil {
-			return nil, 0, err
-		}
-		terms := 0
-		for _, t := range d.Terminal {
-			if t {
-				terms++
-			}
-		}
-		return d.H, terms, nil
-	case ibm > 0:
-		spec, err := hgpart.IBMProfile(ibm)
-		if err != nil {
-			return nil, 0, err
-		}
-		if scale < 1 {
-			spec = hgpart.Scaled(spec, scale)
-		}
-		if seed != 1 {
-			spec.Seed = seed
-		}
-		h, err := hgpart.Generate(spec)
-		return h, 0, err
-	case inPath != "":
-		f, err := os.Open(inPath)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(inPath, ".hgr") {
-			h, err := hgpart.ParseHGR(f, inPath)
-			return h, 0, err
-		}
-		h, err := hgpart.ParseNetD(f, nil, inPath)
+		h, err := gen.Generate(spec)
 		return h, 0, err
 	}
-	return nil, 0, fmt.Errorf("need -in, -nodes/-nets, or -ibm")
+	if inPath == "" && (nodesPath == "" || netsPath == "") {
+		return nil, 0, fmt.Errorf("need -in, -nodes/-nets, or -ibm")
+	}
+	h, terminal, err := netlist.ReadFiles(netlist.Files{Path: inPath, Nodes: nodesPath, Nets: netsPath})
+	terms := 0
+	for _, t := range terminal {
+		if t {
+			terms++
+		}
+	}
+	return h, terms, err
 }
 
 func maxInt(a, b int) int {

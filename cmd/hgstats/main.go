@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hgstats circuit.hgr other.netD
+//	hgstats circuit.hgr other.netD design.patoh
 //	hgstats -ibm all -scale 0.1
 //	hgstats -ibm 1 -scale 0.1 -features   # portfolio feature vector as JSON
 package main
@@ -16,9 +16,10 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"hgpart"
+	"hgpart/internal/gen"
+	"hgpart/internal/netlist"
 )
 
 func main() {
@@ -55,73 +56,43 @@ func main() {
 		}
 	}
 
-	if *ibm != "" {
-		var ids []int
-		if *ibm == "all" {
-			for i := 1; i <= 18; i++ {
-				ids = append(ids, i)
-			}
-		} else {
-			n, err := strconv.Atoi(*ibm)
-			if err != nil {
-				fatal(fmt.Errorf("bad -ibm %q", *ibm))
-			}
-			ids = []int{n}
+	var names []string
+	switch {
+	case *ibm == "all":
+		for i := 1; i <= 18; i++ {
+			names = append(names, fmt.Sprint("ibm", i))
 		}
-		for _, id := range ids {
-			spec, err := hgpart.IBMProfile(id)
-			if err != nil {
-				fatal(err)
-			}
-			if *scale < 1 {
-				spec = hgpart.Scaled(spec, *scale)
-			}
-			h, err := hgpart.Generate(spec)
-			if err != nil {
-				fatal(err)
-			}
-			report(h)
+	case *ibm != "":
+		n, err := strconv.Atoi(*ibm)
+		if err != nil {
+			fatal(fmt.Errorf("bad -ibm %q", *ibm))
 		}
-		return
-	}
-
-	if *mcnc != "" {
-		names := []string{*mcnc}
-		if *mcnc == "all" {
-			names = hgpart.MCNCNames()
+		names = []string{fmt.Sprint("ibm", n)}
+	case *mcnc == "all":
+		for _, name := range gen.MCNCNames() {
+			names = append(names, "mcnc:"+name)
 		}
-		for _, name := range names {
-			spec, err := hgpart.MCNCProfile(name)
-			if err != nil {
-				fatal(err)
-			}
-			if *scale < 1 {
-				spec = hgpart.Scaled(spec, *scale)
-			}
-			h, err := hgpart.Generate(spec)
-			if err != nil {
-				fatal(err)
-			}
-			report(h)
-		}
-		return
-	}
-
-	if flag.NArg() == 0 {
+	case *mcnc != "":
+		names = []string{"mcnc:" + *mcnc}
+	case flag.NArg() == 0:
 		fatal(fmt.Errorf("usage: hgstats [-ibm N|all] [files...]"))
 	}
-	for _, path := range flag.Args() {
-		f, err := os.Open(path)
+	for _, name := range names {
+		spec, _, err := gen.Benchmark(name, *scale, 0)
 		if err != nil {
 			fatal(err)
 		}
-		var h *hgpart.Hypergraph
-		if strings.HasSuffix(path, ".hgr") {
-			h, err = hgpart.ParseHGR(f, path)
-		} else {
-			h, err = hgpart.ParseNetD(f, nil, path)
+		h, err := gen.Generate(spec)
+		if err != nil {
+			fatal(err)
 		}
-		f.Close()
+		report(h)
+	}
+	if names != nil {
+		return
+	}
+	for _, path := range flag.Args() {
+		h, _, err := netlist.ReadFiles(netlist.Files{Path: path})
 		if err != nil {
 			fatal(err)
 		}

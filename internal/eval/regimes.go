@@ -9,6 +9,7 @@ import (
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/partition"
 	"hgpart/internal/rng"
+	"hgpart/internal/stats"
 )
 
 // Multistart regimes beyond fixed start counts, per §3.2 of the paper:
@@ -133,24 +134,9 @@ func NewCutDistribution(samples []Outcome) CutDistribution {
 		d.StdDev = math.Sqrt(ss / float64(len(d.Sorted)-1))
 	}
 	for _, q := range []int{5, 25, 50, 75, 95} {
-		d.Quantile[q] = quantileSorted(d.Sorted, float64(q)/100)
+		d.Quantile[q] = stats.Quantile(d.Sorted, float64(q)/100)
 	}
 	return d
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	f := pos - float64(lo)
-	return sorted[lo]*(1-f) + sorted[hi]*f
 }
 
 // ProbBest estimates, from single-start samples, the probability that

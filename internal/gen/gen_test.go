@@ -319,3 +319,33 @@ func TestMCNCPrim2Counts(t *testing.T) {
 		t.Fatalf("prim2 counts %d/%d", spec.Cells, spec.Nets)
 	}
 }
+
+func TestBenchmark(t *testing.T) {
+	ibm1, mcnc := MustIBMProfile(1), func() Spec { s, _ := MCNCProfile("struct"); return s }()
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		seed  uint64
+		want  Spec
+		canon string
+	}{
+		{"ibm01", 1, 0, ibm1, "ibm01"},
+		{"ibm1", 0.1, 0, Scaled(ibm1, 0.1), "ibm01@0.1"},
+		{"ibm1", 1, 7, func() Spec { s := ibm1; s.Seed = 7; return s }(), "ibm01#7"},
+		{"mcnc:struct", 0.5, 3, func() Spec { s := Scaled(mcnc, 0.5); s.Seed = 3; return s }(), "mcnc:struct@0.5#3"},
+	} {
+		spec, canon, err := Benchmark(tc.name, tc.scale, tc.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if spec != tc.want || canon != tc.canon {
+			t.Errorf("Benchmark(%q, %g, %d) = %+v, %q; want %+v, %q",
+				tc.name, tc.scale, tc.seed, spec, canon, tc.want, tc.canon)
+		}
+	}
+	for _, name := range []string{"ibm19", "ibmx", "mcnc:nope", "struct", ""} {
+		if _, _, err := Benchmark(name, 1, 0); err == nil {
+			t.Errorf("Benchmark(%q) accepted", name)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package gen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // ibmParams holds the published ISPD98 benchmark-suite parameters (Alpert,
@@ -161,4 +164,53 @@ func MCNCNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Benchmark resolves a bundled benchmark the one way every command and the
+// service do. name is "ibmNN" (or "ibmN") or "mcnc:<name>"; scale in (0,1]
+// downsizes the profile; seed 0 keeps the profile's own instance seed and
+// any other value is the instance seed. It returns the spec and the
+// instance's report name: the canonical benchmark name ("ibm01",
+// "mcnc:struct"), then "@scale" below scale 1 and "#seed" for a non-zero
+// seed.
+func Benchmark(name string, scale float64, seed uint64) (Spec, string, error) {
+	spec, canon, err := profile(name)
+	if err != nil {
+		return Spec{}, "", err
+	}
+	if scale < 1 {
+		canon = fmt.Sprintf("%s@%g", canon, scale)
+	}
+	if seed != 0 {
+		canon = fmt.Sprintf("%s#%d", canon, seed)
+	}
+	return Instance(spec, scale, seed), canon, nil
+}
+
+// profile looks a benchmark name up, returning its canonical form.
+func profile(name string) (Spec, string, error) {
+	if rest, ok := strings.CutPrefix(name, "mcnc:"); ok {
+		spec, err := MCNCProfile(rest)
+		return spec, name, err
+	}
+	if rest, ok := strings.CutPrefix(name, "ibm"); ok {
+		if i, err := strconv.Atoi(rest); err == nil {
+			spec, err := IBMProfile(i)
+			return spec, fmt.Sprintf("ibm%02d", i), err
+		}
+	}
+	return Spec{}, "", errors.New("want ibmNN or mcnc:<name>")
+}
+
+// Instance applies the instance rule Benchmark applies to a profile to any
+// spec: a scale below 1 downsizes it (Scaled) and a non-zero seed replaces
+// its instance seed.
+func Instance(spec Spec, scale float64, seed uint64) Spec {
+	if scale < 1 {
+		spec = Scaled(spec, scale)
+	}
+	if seed != 0 {
+		spec.Seed = seed
+	}
+	return spec
 }

@@ -23,6 +23,8 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"hgpart/internal/stats"
 )
 
 // Case is one benchmark: a pinned instance plus a pinned workload, with a
@@ -163,14 +165,10 @@ func (r Runner) sample(run func() int64) (nsPerMove []float64, totalMoves int64,
 }
 
 func median(sorted []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return stats.Quantile(sorted, 0.5)
 }
 
 // RunCase measures both implementations of one case and cross-checks that

@@ -4,32 +4,9 @@ import (
 	"math"
 	"sort"
 	"sync"
-)
 
-// Percentile returns the q-quantile (q in [0,1]) of an ascending-sorted
-// sample using linear interpolation between closest ranks — the same
-// estimator for every consumer (hgbench reports, hgserved /metrics), so a
-// "p99 ns/move" means one thing across the repository. An empty sample
-// returns NaN.
-func Percentile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
+	"hgpart/internal/stats"
+)
 
 // Sampler is a bounded, concurrency-safe window of float64 observations —
 // the live-serving counterpart of the benchmark runner's fixed-rep samples.
@@ -74,7 +51,9 @@ func (s *Sampler) Count() int64 {
 }
 
 // Quantiles returns the requested quantiles of the current window, in the
-// order asked. With no observations every entry is NaN.
+// order asked, by stats.Quantile (linear interpolation between closest
+// ranks), the one estimator hgbench reports and hgserved /metrics share.
+// With no observations every entry is NaN.
 func (s *Sampler) Quantiles(qs ...float64) []float64 {
 	s.mu.Lock()
 	window := make([]float64, len(s.buf))
@@ -83,7 +62,10 @@ func (s *Sampler) Quantiles(qs ...float64) []float64 {
 	sort.Float64s(window)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		out[i] = Percentile(window, q)
+		out[i] = math.NaN()
+		if len(window) > 0 {
+			out[i] = stats.Quantile(window, q)
+		}
 	}
 	return out
 }

@@ -5,21 +5,24 @@ import (
 	"testing"
 )
 
+// The sampler's percentiles interpolate linearly between closest ranks
+// (stats.Quantile), clamping q outside [0,1] to the extremes.
 func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
+	s := NewSampler(8)
+	for _, v := range []float64{4, 1, 5, 3, 2} {
+		s.Observe(v)
+	}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5}, {-1, 1}, {2, 5},
 	}
 	for _, tc := range cases {
-		if got := Percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("Percentile(q=%g) = %g, want %g", tc.q, got, tc.want)
+		if got := s.Quantiles(tc.q)[0]; got != tc.want {
+			t.Errorf("Quantiles(q=%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Error("empty sample should give NaN")
-	}
-	one := []float64{7}
-	if got := Percentile(one, 0.99); got != 7 {
+	one := NewSampler(1)
+	one.Observe(7)
+	if got := one.Quantiles(0.99)[0]; got != 7 {
 		t.Errorf("single sample p99 = %g, want 7", got)
 	}
 }

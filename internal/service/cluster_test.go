@@ -353,3 +353,50 @@ func TestClusterFirstDispatchCountsZeroRequeues(t *testing.T) {
 	close(stop)
 	<-donePolling
 }
+
+// An explicit "vcycles":0 is honoured: it misses the cache the default
+// request filled and echoes 0, a coordinator forwards the 0 so its worker
+// computes the same report as a single node, and under mode=portfolio, which
+// ignores vcycles, the 0 shares the default request's cache entry.
+func TestVCyclesZeroHonoured(t *testing.T) {
+	const base = `{"benchmark":"ibm01","scale":0.05,"starts":2,"vcycles":`
+	_, single := testServer(t, nil)
+	reports := map[string][]byte{}
+	for _, vc := range []string{"0", "1"} {
+		resp, body := post(t, single, base+vc+`}`)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Hgserved-Cache") != "miss" {
+			t.Fatalf("vcycles %s: status %d, disposition %q, body %s",
+				vc, resp.StatusCode, resp.Header.Get("X-Hgserved-Cache"), body)
+		}
+		if !bytes.Contains(body, []byte(`"vcycles":`+vc+`,`)) {
+			t.Fatalf("vcycles %s: report does not echo it: %s", vc, body)
+		}
+		reports[vc] = body
+	}
+	if resp, body := post(t, single, `{"benchmark":"ibm01","scale":0.05,"starts":2}`); !bytes.Equal(body, reports["1"]) ||
+		resp.Header.Get("X-Hgserved-Cache") != "hit" {
+		t.Fatalf("absent vcycles is not the vcycles 1 entry: disposition %q", resp.Header.Get("X-Hgserved-Cache"))
+	}
+
+	_, worker := testServer(t, nil)
+	_, coord := testServer(t, func(c *service.Config) {
+		c.Cluster = service.ClusterConfig{
+			Workers:           []string{strings.TrimPrefix(worker.URL, "http://")},
+			HeartbeatInterval: 20 * time.Millisecond,
+			RetrySeed:         1,
+		}
+	})
+	waitClusterHealthy(t, coord, 1)
+	if resp, body := post(t, coord, base+`0}`); resp.StatusCode != 200 || !bytes.Equal(body, reports["0"]) {
+		t.Fatalf("dispatched vcycles 0: status %d, report differs from single node:\n%s\nvs\n%s",
+			resp.StatusCode, body, reports["0"])
+	}
+
+	const portfolio = `{"benchmark":"ibm01","scale":0.05,"starts":2,"mode":"portfolio"`
+	_, first := post(t, single, portfolio+`}`)
+	resp, body := post(t, single, portfolio+`,"vcycles":0}`)
+	if resp.Header.Get("X-Hgserved-Cache") != "hit" || !bytes.Equal(body, first) {
+		t.Fatalf("portfolio vcycles 0: disposition %q, identical=%v; want a hit on the default entry",
+			resp.Header.Get("X-Hgserved-Cache"), bytes.Equal(body, first))
+	}
+}

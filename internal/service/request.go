@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -45,8 +46,11 @@ type PartitionRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Starts is the number of independent starts (default 4).
 	Starts int `json:"starts,omitempty"`
-	// VCycles applied to the best solution with the ml engine (default 1).
-	VCycles int `json:"vcycles,omitempty"`
+	// VCycles applied to the best solution with the ml engine:
+	// defaultVCycles when the field is absent (admitRequest presets it), and
+	// an explicit 0 means none. Never omitted, so a coordinator's forwarded
+	// body keeps its 0.
+	VCycles int `json:"vcycles"`
 	// Tolerance is the balance tolerance (default 0.02).
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// Seed drives all partitioning randomness (default 1).
@@ -82,16 +86,17 @@ func reqErrf(format string, args ...any) error {
 	return &RequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// normalize applies defaults in place.
+// defaultVCycles is the V-cycle count of a request that names none.
+const defaultVCycles = 1
+
+// normalize applies defaults in place (VCycles is preset before decoding,
+// because its zero value is a valid request).
 func (r *PartitionRequest) normalize() {
 	if r.Engine == "" {
 		r.Engine = "ml"
 	}
 	if r.Starts == 0 {
 		r.Starts = 4
-	}
-	if r.VCycles == 0 {
-		r.VCycles = 1
 	}
 	if r.Tolerance == 0 {
 		r.Tolerance = 0.02
@@ -161,81 +166,39 @@ func (r *PartitionRequest) validate() error {
 }
 
 // resolveInstance turns the request's instance source into a hypergraph and
-// a human-readable instance name. Parse failures come back as typed
-// *netlist.ParseError values (HTTP 400 at the handler).
+// a human-readable instance name, through the resolvers every command uses:
+// gen.Benchmark for a named benchmark, netlist.Parse for inline text. Parse
+// failures come back as typed *netlist.ParseError values (HTTP 400 at the
+// handler).
 func (r *PartitionRequest) resolveInstance() (*hypergraph.Hypergraph, string, error) {
-	switch {
-	case r.Benchmark != "":
-		spec, name, err := benchmarkSpec(r.Benchmark)
+	if r.Benchmark != "" {
+		spec, name, err := gen.Benchmark(r.Benchmark, r.Scale, r.InstanceSeed)
 		if err != nil {
-			return nil, "", err
-		}
-		if r.Scale < 1 {
-			spec = gen.Scaled(spec, r.Scale)
-			name = fmt.Sprintf("%s@%g", name, r.Scale)
-		}
-		if r.InstanceSeed != 0 {
-			spec.Seed = r.InstanceSeed
-			name = fmt.Sprintf("%s#%d", name, r.InstanceSeed)
+			return nil, "", reqErrf("benchmark %q: %v", r.Benchmark, err)
 		}
 		h, err := gen.Generate(spec)
 		if err != nil {
 			return nil, "", reqErrf("benchmark %q: %v", r.Benchmark, err)
 		}
 		return h, name, nil
-	case r.HGR != "":
-		h, err := netlist.ParseHGR(strings.NewReader(r.HGR), r.inlineName())
-		if err != nil {
-			return nil, "", err
-		}
-		return h, r.inlineName(), nil
-	default:
-		var are *strings.Reader
+	}
+	name := r.Label
+	if name == "" {
+		name = "inline"
+	}
+	text, format := r.HGR, "hgr"
+	var are io.Reader
+	if r.NetD != "" {
+		text, format = r.NetD, "netd"
 		if r.Are != "" {
 			are = strings.NewReader(r.Are)
 		}
-		var h *hypergraph.Hypergraph
-		var err error
-		if are != nil {
-			h, err = netlist.ParseNetD(strings.NewReader(r.NetD), are, r.inlineName())
-		} else {
-			h, err = netlist.ParseNetD(strings.NewReader(r.NetD), nil, r.inlineName())
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return h, r.inlineName(), nil
 	}
-}
-
-func (r *PartitionRequest) inlineName() string {
-	if r.Label != "" {
-		return r.Label
+	h, err := netlist.Parse(format, strings.NewReader(text), are, name)
+	if err != nil {
+		return nil, "", err
 	}
-	return "inline"
-}
-
-// benchmarkSpec resolves a benchmark name to a generator spec.
-func benchmarkSpec(name string) (gen.Spec, string, error) {
-	if rest, ok := strings.CutPrefix(name, "mcnc:"); ok {
-		spec, err := gen.MCNCProfile(rest)
-		if err != nil {
-			return gen.Spec{}, "", reqErrf("benchmark %q: %v", name, err)
-		}
-		return spec, name, nil
-	}
-	if rest, ok := strings.CutPrefix(name, "ibm"); ok {
-		i, err := strconv.Atoi(rest)
-		if err != nil {
-			return gen.Spec{}, "", reqErrf("benchmark %q: want ibmNN or mcnc:<name>", name)
-		}
-		spec, err := gen.IBMProfile(i)
-		if err != nil {
-			return gen.Spec{}, "", reqErrf("benchmark %q: %v", name, err)
-		}
-		return spec, fmt.Sprintf("ibm%02d", i), nil
-	}
-	return gen.Spec{}, "", reqErrf("benchmark %q: want ibmNN or mcnc:<name>", name)
+	return h, name, nil
 }
 
 // instanceHash content-addresses a hypergraph: the SHA-256 of its canonical
@@ -262,15 +225,19 @@ func instanceHash(h *hypergraph.Hypergraph) string {
 // count does not — the synchronous-round refiner is byte-identical at every
 // positive count — so refine_threads=1 and refine_threads=8 share an entry.
 func cacheKey(instHash string, r *PartitionRequest) string {
+	vcycles := r.VCycles
+	if r.Mode == "portfolio" {
+		vcycles = defaultVCycles // ignored: the winning arm brings its own
+	}
 	cfg := fmt.Sprintf("hgserved/v1|inst=%s|engine=%s|starts=%d|vcycles=%d|tol=%s|seed=%d",
-		instHash, r.Engine, r.Starts, r.VCycles,
+		instHash, r.Engine, r.Starts, vcycles,
 		strconv.FormatFloat(r.Tolerance, 'g', -1, 64), r.Seed)
 	if r.RefineThreads > 0 {
 		cfg += "|parfm=1"
 	}
 	if r.Mode == "portfolio" {
 		// The portfolio schedule replaces the fixed engine entirely (the
-		// ignored engine/vcycles are normalized defaults). Its report is a
+		// ignored vcycles is keyed as the default). Its report is a
 		// pure function of (instance, starts, tolerance, seed, work budget):
 		// the race's per-arm share is work_budget/4, so even a complete
 		// budgeted report carries different arm traces than the unbudgeted

@@ -317,6 +317,7 @@ func (s *Server) admitRequest(w http.ResponseWriter, raw []byte, gate func(*Part
 	req PartitionRequest, h *hypergraph.Hypergraph, instName string, ok bool) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
+	req.VCycles = defaultVCycles // an explicit "vcycles" decodes over it, 0 included
 	if err := dec.Decode(&req); err != nil {
 		errorBody(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return req, nil, "", false

@@ -1,11 +1,11 @@
-// Package trace records FM execution trajectories — per-pass cut curves,
+// Package trace records FM execution traces — per-pass start and end cuts,
 // move counts and rollback depths. It implements core.Tracer.
 //
 // The paper's methodology sections lean on exactly this kind of evidence:
 // the corking diagnosis came from "traces of CLIP executions", and Gent et
 // al.'s "Do collect all data possible" is quoted approvingly. A Recorder
-// costs two slice appends per move and can be dumped to CSV for offline
-// analysis, or summarized in-process.
+// keeps one record per pass (nothing per move) and can be dumped to CSV for
+// offline analysis, or summarized in-process.
 package trace
 
 import (
@@ -20,18 +20,10 @@ type PassRecord struct {
 	EndCut     int64
 	Moves      int64
 	RolledBack int
-	// Cuts holds the running cut after each move (present only when the
-	// Recorder keeps trajectories).
-	Cuts []int64
 }
 
 // Recorder implements core.Tracer.
 type Recorder struct {
-	// KeepTrajectories retains the per-move cut curve of every pass (memory
-	// proportional to total moves). When false only per-pass summaries are
-	// kept.
-	KeepTrajectories bool
-
 	passes  []PassRecord
 	current *PassRecord
 }
@@ -48,9 +40,6 @@ func (r *Recorder) MoveMade(pass int, moveIdx int64, v int32, cut int64) {
 		return
 	}
 	r.current.Moves = moveIdx
-	if r.KeepTrajectories {
-		r.current.Cuts = append(r.current.Cuts, cut)
-	}
 }
 
 // PassEnd implements core.Tracer.
@@ -67,12 +56,6 @@ func (r *Recorder) PassEnd(pass int, bestCut int64, moves int64, rolledBack int)
 // Passes returns the recorded pass summaries.
 func (r *Recorder) Passes() []PassRecord { return r.passes }
 
-// Reset clears all recorded data for reuse.
-func (r *Recorder) Reset() {
-	r.passes = r.passes[:0]
-	r.current = nil
-}
-
 // WriteSummaryCSV emits one row per pass:
 // pass,start_cut,end_cut,moves,rolled_back.
 func (r *Recorder) WriteSummaryCSV(w io.Writer) error {
@@ -83,22 +66,6 @@ func (r *Recorder) WriteSummaryCSV(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d\n",
 			p.Pass, p.StartCut, p.EndCut, p.Moves, p.RolledBack); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// WriteTrajectoryCSV emits one row per move: pass,move,cut. Requires
-// KeepTrajectories.
-func (r *Recorder) WriteTrajectoryCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "pass,move,cut"); err != nil {
-		return err
-	}
-	for _, p := range r.passes {
-		for i, c := range p.Cuts {
-			if _, err := fmt.Fprintf(w, "%d,%d,%d\n", p.Pass, i+1, c); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 	"hgpart/internal/rng"
 )
 
-func runTraced(t *testing.T, keep bool) (*Recorder, core.Result) {
+func runTraced(t *testing.T) (*Recorder, core.Result) {
 	t.Helper()
 	h, err := gen.Generate(gen.Spec{
 		Name: "trace-test", Cells: 300, Nets: 330, AvgNetSize: 3.3,
@@ -23,7 +23,7 @@ func runTraced(t *testing.T, keep bool) (*Recorder, core.Result) {
 	}
 	bal := partition.NewBalance(h.TotalVertexWeight(), 0.10)
 	eng := core.NewEngine(h, core.StrongConfig(false), bal, rng.New(1))
-	rec := &Recorder{KeepTrajectories: keep}
+	rec := &Recorder{}
 	eng.SetTracer(rec)
 	p := partition.New(h)
 	p.RandomBalanced(rng.New(2), bal)
@@ -32,7 +32,7 @@ func runTraced(t *testing.T, keep bool) (*Recorder, core.Result) {
 }
 
 func TestRecorderAgreesWithResult(t *testing.T) {
-	rec, res := runTraced(t, false)
+	rec, res := runTraced(t)
 	if len(rec.Passes()) != res.Passes {
 		t.Fatalf("recorded %d passes, engine reports %d", len(rec.Passes()), res.Passes)
 	}
@@ -50,7 +50,7 @@ func TestRecorderAgreesWithResult(t *testing.T) {
 }
 
 func TestPassCutsMonotoneAcrossPasses(t *testing.T) {
-	rec, _ := runTraced(t, false)
+	rec, _ := runTraced(t)
 	ps := rec.Passes()
 	for i := 1; i < len(ps); i++ {
 		if ps[i].StartCut != ps[i-1].EndCut {
@@ -63,19 +63,8 @@ func TestPassCutsMonotoneAcrossPasses(t *testing.T) {
 	}
 }
 
-func TestTrajectoriesKept(t *testing.T) {
-	rec, res := runTraced(t, true)
-	var pts int64
-	for _, p := range rec.Passes() {
-		pts += int64(len(p.Cuts))
-	}
-	if pts != res.Moves {
-		t.Fatalf("trajectory points %d != moves %d", pts, res.Moves)
-	}
-}
-
 func TestCSVOutputs(t *testing.T) {
-	rec, _ := runTraced(t, true)
+	rec, _ := runTraced(t)
 	var sum bytes.Buffer
 	if err := rec.WriteSummaryCSV(&sum); err != nil {
 		t.Fatal(err)
@@ -87,17 +76,10 @@ func TestCSVOutputs(t *testing.T) {
 	if len(lines)-1 != len(rec.Passes()) {
 		t.Fatalf("summary rows %d, passes %d", len(lines)-1, len(rec.Passes()))
 	}
-	var traj bytes.Buffer
-	if err := rec.WriteTrajectoryCSV(&traj); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(traj.String(), "pass,move,cut\n") {
-		t.Fatal("trajectory header missing")
-	}
 }
 
 func TestSummarize(t *testing.T) {
-	rec, res := runTraced(t, false)
+	rec, res := runTraced(t)
 	s := rec.Summarize()
 	if s.Passes != res.Passes || s.TotalMoves != res.Moves {
 		t.Fatalf("summary %+v vs result %+v", s, res)
@@ -107,17 +89,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.ShortestPassMoves > s.TotalMoves {
 		t.Fatal("shortest pass cannot exceed total")
-	}
-}
-
-func TestReset(t *testing.T) {
-	rec, _ := runTraced(t, false)
-	rec.Reset()
-	if len(rec.Passes()) != 0 {
-		t.Fatal("Reset left passes")
-	}
-	if s := rec.Summarize(); s.Passes != 0 {
-		t.Fatal("Reset summary not empty")
 	}
 }
 
@@ -138,17 +109,11 @@ type writeErr struct{}
 func (*writeErr) Error() string { return "synthetic write failure" }
 
 func TestCSVWriteErrorsPropagate(t *testing.T) {
-	rec, _ := runTraced(t, true)
+	rec, _ := runTraced(t)
 	if err := rec.WriteSummaryCSV(&failWriter{n: 1}); err == nil {
 		t.Fatal("summary header write error swallowed")
 	}
 	if err := rec.WriteSummaryCSV(&failWriter{n: 2}); err == nil {
 		t.Fatal("summary row write error swallowed")
-	}
-	if err := rec.WriteTrajectoryCSV(&failWriter{n: 1}); err == nil {
-		t.Fatal("trajectory header write error swallowed")
-	}
-	if err := rec.WriteTrajectoryCSV(&failWriter{n: 2}); err == nil {
-		t.Fatal("trajectory row write error swallowed")
 	}
 }
