@@ -11,7 +11,8 @@
 // The input format is chosen by extension unless -from names it: .hgr for
 // hMETIS, .patoh/.u for PaToH, anything else is parsed as ISPD98 .netD/.net
 // (with -are supplying areas). The output basename gets format-appropriate
-// extensions appended.
+// extensions appended. A Bookshelf output keeps the terminal nodes of a
+// Bookshelf input; node names are regenerated (o0, o1, ...).
 package main
 
 import (
@@ -19,7 +20,7 @@ import (
 	"fmt"
 	"os"
 
-	"hgpart"
+	"hgpart/internal/hypergraph"
 	"hgpart/internal/netlist"
 )
 
@@ -41,15 +42,15 @@ func main() {
 	if *inPath == "" && (*nodesPath == "" || *netsPath == "") {
 		fatal(fmt.Errorf("need -in or -nodes/-nets"))
 	}
-	h, _, err := netlist.ReadFiles(netlist.Files{
+	h, terminal, err := netlist.ReadFiles(netlist.Files{
 		Path: *inPath, Are: *arePath, Format: *from, Nodes: *nodesPath, Nets: *netsPath,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprint(os.Stderr, hgpart.ComputeStats(h))
+	fmt.Fprint(os.Stderr, hypergraph.ComputeStats(h))
 
-	if err := netlist.WriteFiles(h, *to, *outPath); err != nil {
+	if err := netlist.WriteFiles(h, terminal, *to, *outPath); err != nil {
 		fatal(err)
 	}
 }

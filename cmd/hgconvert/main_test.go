@@ -82,6 +82,37 @@ func TestConvertGolden(t *testing.T) {
 	checkGolden(t, "testdata/convert.golden", transcript.String())
 }
 
+// A Bookshelf-to-Bookshelf conversion keeps the terminal nodes it read.
+func TestConvertKeepsTerminals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hgconvert binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "hgconvert")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	nodes := "UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\n a0 2 1\n a1 1 1 terminal\n a2 1 1\n"
+	nets := "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\n a0 B\n a1 B\n a2 B\n"
+	for name, text := range map[string]string{"in.nodes": nodes, "in.nets": nets} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command(bin, "-nodes", "in.nodes", "-nets", "in.nets", "-to", "bookshelf", "-out", "out")
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("hgconvert: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "out.nodes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), "NumTerminals : 1\n") || !strings.Contains(string(got), "  o1 1 1 terminal\n") {
+		t.Fatalf("terminal node lost in conversion:\n%s", got)
+	}
+}
+
 // listFiles maps every regular file in dir to its sha256.
 func listFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()

@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"os"
 
-	"hgpart"
 	"hgpart/internal/gen"
+	"hgpart/internal/hypergraph"
 	"hgpart/internal/netlist"
 )
 
@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintln(os.Stderr, hgpart.ComputeStats(h))
+	fmt.Fprintln(os.Stderr, hypergraph.ComputeStats(h))
 
 	switch *format {
 	case "hgr":
@@ -87,7 +87,7 @@ func main() {
 		if *outPath == "" {
 			fatal(fmt.Errorf("-format netd requires -o <basename>"))
 		}
-		if err := netlist.WriteFiles(h, "netd", *outPath); err != nil {
+		if err := netlist.WriteFiles(h, nil, "netd", *outPath); err != nil {
 			fatal(err)
 		}
 	default:

@@ -44,9 +44,18 @@ import (
 	"os"
 	"time"
 
-	"hgpart"
+	"hgpart/internal/core"
+	"hgpart/internal/eval"
 	"hgpart/internal/gen"
+	"hgpart/internal/hypergraph"
+	"hgpart/internal/kway"
 	"hgpart/internal/netlist"
+	"hgpart/internal/objective"
+	"hgpart/internal/partition"
+	"hgpart/internal/portfolio"
+	"hgpart/internal/rng"
+	"hgpart/internal/spectral"
+	"hgpart/internal/trace"
 )
 
 func main() {
@@ -141,7 +150,7 @@ func main() {
 		fatalUsage(err)
 	}
 	if !*quiet {
-		fmt.Fprint(os.Stderr, hgpart.ComputeStats(h))
+		fmt.Fprint(os.Stderr, hypergraph.ComputeStats(h))
 	}
 
 	if *k > 2 {
@@ -150,7 +159,7 @@ func main() {
 	}
 
 	total := h.TotalVertexWeight()
-	bal := hgpart.NewBalance(total, *tol)
+	bal := partition.NewBalance(total, *tol)
 
 	if *usePortfolio {
 		runPortfolio(h, bal, *starts, *seed, *workBudget, *outPath)
@@ -159,7 +168,7 @@ func main() {
 
 	if *engine == "spectral" {
 		t0 := time.Now()
-		p, sres, err := hgpart.SpectralBisect(h, bal, hgpart.SpectralOptions{Seed: *seed})
+		p, sres, err := spectral.Bisect(h, bal, spectral.Options{Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}
@@ -188,30 +197,25 @@ func main() {
 // echo and the time= line is a pure function of the instance and flags, and
 // matches hgpart.Bisect and a fixed-engine hgserved request with the same
 // seed and starts.
-func runMultistart(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, starts, vcycles int,
+func runMultistart(h *hypergraph.Hypergraph, bal partition.Balance, engine string, starts, vcycles int,
 	seed uint64, timeout time.Duration, workers int, workBudget int64, checkpointPath string, resume bool,
 	retries int, checkInv bool, reference bool, outPath string) {
-	cfg := hgpart.StrongFMConfig(engine == "clip")
-	cfg.CheckInvariants = checkInv
-	cfg.ReferenceImpl = reference
-	factory := func() hgpart.Heuristic {
-		if engine == "ml" {
-			return hgpart.NewMLHeuristic("ML", h, hgpart.MLConfig{Refine: cfg}, bal, vcycles)
-		}
-		return hgpart.NewFlatHeuristic("flat-"+engine, h, cfg, bal, hgpart.NewRNG(seed))
-	}
+	arm := portfolio.FixedArm(engine, vcycles)
+	arm.Config.CheckInvariants = checkInv
+	arm.Config.ReferenceImpl = reference
+	factory := arm.Factory(h, bal, seed)
 
-	opt := hgpart.RunOptions{
+	opt := eval.RunOptions{
 		Workers:    workers,
 		WallBudget: timeout,
 		WorkBudget: workBudget,
 		MaxRetries: retries,
 	}
 	if checkInv {
-		opt.Verify = hgpart.VerifyOutcome(bal)
+		opt.Verify = eval.VerifyOutcome(bal)
 	}
 	if checkpointPath != "" {
-		cp, err := hgpart.OpenCheckpoint(checkpointPath, engine, seed, starts, resume)
+		cp, err := eval.OpenCheckpoint(checkpointPath, engine, seed, starts, resume)
 		if err != nil {
 			fatal(err)
 		}
@@ -223,7 +227,7 @@ func runMultistart(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, star
 	}
 
 	t0 := time.Now()
-	rep := hgpart.RunMultistart(context.Background(), factory, starts, seed, opt)
+	rep := eval.RunMultistart(context.Background(), factory, starts, seed, opt)
 
 	fmt.Printf("engine=%s starts=%d workers=%d retries=%d check-invariants=%v\n",
 		engine, starts, workers, retries, checkInv)
@@ -234,7 +238,7 @@ func runMultistart(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, star
 	if rep.BestIdx < 0 {
 		fatalInfeasible(fmt.Errorf("no start succeeded"))
 	}
-	best, err := hgpart.Finish(factory, seed, rep)
+	best, err := eval.Finish(factory, seed, rep)
 	if err != nil {
 		fatal(err)
 	}
@@ -255,10 +259,10 @@ func runMultistart(h *hgpart.Hypergraph, bal hgpart.Balance, engine string, star
 // arm race, and the committed multistart on the winner. Everything printed
 // to stdout except the wall-clock time= line is a pure function of
 // (instance, seed, starts, work budget).
-func runPortfolio(h *hgpart.Hypergraph, bal hgpart.Balance, starts int, seed uint64,
+func runPortfolio(h *hypergraph.Hypergraph, bal partition.Balance, starts int, seed uint64,
 	workBudget int64, outPath string) {
 	t0 := time.Now()
-	res, err := hgpart.RunPortfolio(context.Background(), h, bal, seed, starts, workBudget)
+	res, err := (&portfolio.Scheduler{}).Run(context.Background(), h, bal, seed, starts, workBudget)
 	if err != nil {
 		// With a background context the only reachable failure is an
 		// infeasible balance: no arm produced a legal partition.
@@ -289,7 +293,7 @@ func runPortfolio(h *hgpart.Hypergraph, bal hgpart.Balance, starts int, seed uin
 // checkLegal enforces the documented exit-3 contract: a best partition
 // outside the balance bounds means the tolerance is infeasible for this
 // instance (the engines keep the least-bad solution rather than none).
-func checkLegal(p *hgpart.Partition, bal hgpart.Balance) {
+func checkLegal(p *partition.P, bal partition.Balance) {
 	if !p.Legal(bal) {
 		fatalInfeasible(fmt.Errorf(
 			"no legal partition within tolerance: best has sides %d/%d, bounds [%d,%d]",
@@ -297,25 +301,25 @@ func checkLegal(p *hgpart.Partition, bal hgpart.Balance) {
 	}
 }
 
-func printSides(p *hgpart.Partition, total int64) {
+func printSides(p *partition.P, total int64) {
 	fmt.Printf("side0=%d (%.2f%%) side1=%d (%.2f%%)\n",
 		p.Area(0), 100*float64(p.Area(0))/float64(total),
 		p.Area(1), 100*float64(p.Area(1))/float64(total))
 }
 
 // runKWay handles -k > 2 via recursive bisection.
-func runKWay(h *hgpart.Hypergraph, k int, tol float64, starts int, refine bool, refineThreads int, seed uint64, reference, checkInv bool, outPath string) {
-	cfg := hgpart.KWayConfig{
+func runKWay(h *hypergraph.Hypergraph, k int, tol float64, starts int, refine bool, refineThreads int, seed uint64, reference, checkInv bool, outPath string) {
+	cfg := kway.Config{
 		Tolerance:     tol,
 		Starts:        starts,
 		DirectRefine:  refine,
 		RefineThreads: refineThreads,
 	}
-	cfg.Refine = hgpart.StrongFMConfig(false)
+	cfg.Refine = core.StrongConfig(false)
 	cfg.Refine.ReferenceImpl = reference
 	cfg.Refine.CheckInvariants = checkInv
 	t0 := time.Now()
-	res, err := hgpart.PartitionKWay(h, k, cfg, hgpart.NewRNG(seed))
+	res, err := kway.Partition(h, k, cfg, rng.New(seed))
 	if err != nil {
 		fatal(err)
 	}
@@ -325,7 +329,7 @@ func runKWay(h *hgpart.Hypergraph, k int, tol float64, starts int, refine bool, 
 	fmt.Printf("k=%d tolerance=%.3f refine=%v refine-threads=%d\n", k, tol, refine, refineThreads)
 	fmt.Printf("cut=%d lambda-1=%d imbalance=%.2f%%\n",
 		res.CutNets, res.ConnectivityMinusOne, 100*res.Imbalance)
-	w := hgpart.PartWeights(h, res.Parts, k)
+	w := objective.PartWeights(h, res.Parts, k)
 	for p, x := range w {
 		fmt.Printf("  part %d: weight %d (%.2f%%)\n", p, x,
 			100*float64(x)/float64(h.TotalVertexWeight()))
@@ -335,14 +339,14 @@ func runKWay(h *hgpart.Hypergraph, k int, tol float64, starts int, refine bool, 
 }
 
 // runTraced runs a single traced flat start and writes the pass CSV.
-func runTraced(h *hgpart.Hypergraph, bal hgpart.Balance, engine, path string, seed uint64, reference bool, outPath string) {
-	cfg := hgpart.StrongFMConfig(engine == "clip")
+func runTraced(h *hypergraph.Hypergraph, bal partition.Balance, engine, path string, seed uint64, reference bool, outPath string) {
+	cfg := core.StrongConfig(engine == "clip")
 	cfg.ReferenceImpl = reference
-	r := hgpart.NewRNG(seed)
-	eng := hgpart.NewFMEngine(h, cfg, bal, r)
-	rec := &hgpart.TraceRecorder{}
+	r := rng.New(seed)
+	eng := core.NewEngine(h, cfg, bal, r)
+	rec := &trace.Recorder{}
 	eng.SetTracer(rec)
-	p := hgpart.NewPartition(h)
+	p := partition.New(h)
 	p.RandomBalanced(r, bal)
 	res := eng.Run(p)
 
@@ -365,7 +369,7 @@ func runTraced(h *hgpart.Hypergraph, bal hgpart.Balance, engine, path string, se
 
 // writeSides writes a bisection assignment (hMETIS .part convention: one
 // side per line, vertex order). A empty path is a no-op.
-func writeSides(path string, n int, p *hgpart.Partition) {
+func writeSides(path string, n int, p *partition.P) {
 	writeAssignment(path, n, func(v int) int32 { return int32(p.Side(int32(v))) })
 }
 
@@ -392,7 +396,7 @@ func writeAssignment(path string, n int, part func(int) int32) {
 	fmt.Printf("assignment written to %s\n", path)
 }
 
-func loadInstance(inPath, arePath string, ibm int, scale float64) (*hgpart.Hypergraph, error) {
+func loadInstance(inPath, arePath string, ibm int, scale float64) (*hypergraph.Hypergraph, error) {
 	if ibm > 0 {
 		spec, _, err := gen.Benchmark(fmt.Sprint("ibm", ibm), scale, 0)
 		if err != nil {
@@ -417,7 +421,7 @@ const (
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hgpart:", err)
-	if _, ok := hgpart.AsParseError(err); ok {
+	if _, ok := netlist.AsParseError(err); ok {
 		os.Exit(exitUsage)
 	}
 	os.Exit(exitInternal)

@@ -15,9 +15,10 @@ import (
 	"os"
 	"time"
 
-	"hgpart"
 	"hgpart/internal/gen"
+	"hgpart/internal/hypergraph"
 	"hgpart/internal/netlist"
+	"hgpart/internal/placer"
 )
 
 func main() {
@@ -47,13 +48,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprint(os.Stderr, hgpart.ComputeStats(h))
+	fmt.Fprint(os.Stderr, hypergraph.ComputeStats(h))
 	if terminals > 0 {
 		fmt.Fprintf(os.Stderr, "  (%d terminal nodes in the input)\n", terminals)
 	}
 
 	t0 := time.Now()
-	pl, err := hgpart.Place(h, hgpart.PlacerConfig{
+	pl, err := placer.Place(h, placer.Config{
 		MaxCellsPerRegion: *leaf,
 		Tolerance:         *tol,
 		DisableML:         *flat,
@@ -77,7 +78,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := hgpart.WriteBookshelfPl(f, pl.X, pl.Y, 1000); err != nil {
+		if err := netlist.WriteBookshelfPl(f, pl.X, pl.Y, 1000); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("placement written to %s\n", *plPath)
@@ -86,7 +87,7 @@ func main() {
 
 // load reads the Bookshelf pair, else generates -ibm, else reads -in. -seed
 // seeds the placer only: -ibm is always the profile's own instance.
-func load(inPath, nodesPath, netsPath string, ibm int, scale float64) (*hgpart.Hypergraph, int, error) {
+func load(inPath, nodesPath, netsPath string, ibm int, scale float64) (*hypergraph.Hypergraph, int, error) {
 	if ibm > 0 && (nodesPath == "" || netsPath == "") {
 		spec, _, err := gen.Benchmark(fmt.Sprint("ibm", ibm), scale, 0)
 		if err != nil {

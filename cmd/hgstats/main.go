@@ -17,9 +17,11 @@ import (
 	"os"
 	"strconv"
 
-	"hgpart"
 	"hgpart/internal/gen"
+	"hgpart/internal/hypergraph"
 	"hgpart/internal/netlist"
+	"hgpart/internal/portfolio"
+	"hgpart/internal/rent"
 )
 
 func main() {
@@ -27,7 +29,7 @@ func main() {
 		ibm      = flag.String("ibm", "", "profile number 1-18, or \"all\"")
 		mcnc     = flag.String("mcnc", "", "MCNC profile name, or \"all\"")
 		scale    = flag.Float64("scale", 1.0, "downscale factor for -ibm")
-		rent     = flag.Bool("rent", false, "also estimate the Rent exponent (recursive bisection)")
+		withRent = flag.Bool("rent", false, "also estimate the Rent exponent (recursive bisection)")
 		features = flag.Bool("features", false, "emit the portfolio feature vector and bucket as JSON instead of the stats table")
 	)
 	flag.Parse()
@@ -35,18 +37,18 @@ func main() {
 	if *scale <= 0 || *scale > 1 {
 		fatal(fmt.Errorf("-scale %g out of range (0,1]", *scale))
 	}
-	if *features && *rent {
+	if *features && *withRent {
 		fatal(fmt.Errorf("-features and -rent are mutually exclusive"))
 	}
 
-	report := func(h *hgpart.Hypergraph) {
+	report := func(h *hypergraph.Hypergraph) {
 		if *features {
 			emitFeatures(h)
 			return
 		}
-		fmt.Print(hgpart.ComputeStats(h))
-		if *rent {
-			est, err := hgpart.RentAnalyze(h, hgpart.RentOptions{})
+		fmt.Print(hypergraph.ComputeStats(h))
+		if *withRent {
+			est, err := rent.Analyze(h, rent.Options{})
 			if err != nil {
 				fmt.Printf("  rent: %v\n", err)
 			} else {
@@ -104,7 +106,7 @@ func main() {
 // portfolio feature vector plus its discretized bucket key — the exact
 // inputs the portfolio scheduler buckets on, so operators can see which
 // bucket (and therefore which stored arm statistics) a netlist lands in.
-func emitFeatures(h *hgpart.Hypergraph) {
+func emitFeatures(h *hypergraph.Hypergraph) {
 	if err := writeFeatures(os.Stdout, h); err != nil {
 		fatal(err)
 	}
@@ -112,12 +114,12 @@ func emitFeatures(h *hgpart.Hypergraph) {
 
 // writeFeatures renders the -features JSON document; the golden-file test
 // pins its exact bytes.
-func writeFeatures(w io.Writer, h *hgpart.Hypergraph) error {
-	f := hgpart.ExtractPortfolioFeatures(h)
+func writeFeatures(w io.Writer, h *hypergraph.Hypergraph) error {
+	f := portfolio.Extract(h)
 	doc := struct {
-		hgpart.PortfolioFeatures
+		portfolio.Features
 		Bucket string `json:"bucket"`
-	}{f, hgpart.PortfolioBucketOf(f).Key()}
+	}{f, portfolio.BucketOf(f).Key()}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

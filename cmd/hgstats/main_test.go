@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"hgpart"
+	"hgpart/internal/gen"
 )
 
 // TestFeaturesGolden pins the -features JSON byte-for-byte against checked-in
@@ -17,15 +17,15 @@ import (
 func TestFeaturesGolden(t *testing.T) {
 	cases := []struct {
 		name string
-		spec func() (hgpart.GenSpec, error)
+		spec func() (gen.Spec, error)
 	}{
-		{"ibm01_x005", func() (hgpart.GenSpec, error) {
-			s, err := hgpart.IBMProfile(1)
-			return hgpart.Scaled(s, 0.05), err
+		{"ibm01_x005", func() (gen.Spec, error) {
+			s, err := gen.IBMProfile(1)
+			return gen.Scaled(s, 0.05), err
 		}},
-		{"mcnc_struct_x05", func() (hgpart.GenSpec, error) {
-			s, err := hgpart.MCNCProfile("struct")
-			return hgpart.Scaled(s, 0.5), err
+		{"mcnc_struct_x05", func() (gen.Spec, error) {
+			s, err := gen.MCNCProfile("struct")
+			return gen.Scaled(s, 0.5), err
 		}},
 	}
 	for _, c := range cases {
@@ -35,7 +35,7 @@ func TestFeaturesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := hgpart.Generate(spec)
+			h, err := gen.Generate(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,20 +4,24 @@
 // CAD: Methodology for Heuristic Development, Experimentation and
 // Reporting" (DAC 1999).
 //
-// The library provides:
+// The package exports:
 //
-//   - a weighted hypergraph representation with ISPD98 (.netD/.are) and
-//     hMETIS (.hgr) I/O and a synthetic ISPD98-like instance generator;
+//   - a weighted hypergraph representation (Builder) and a synthetic
+//     ISPD98-like instance generator (MustIBMProfile, Scaled, MustGenerate);
+//   - one-call bisection (Bisect) with the multilevel, flat FM and flat
+//     CLIP engines;
 //   - a Fiduccia–Mattheyses testbench in which every implicit
 //     implementation decision (bucket insertion order, zero-delta-gain
 //     update policy, tie-breaking biases, CLIP mode, corking guard) is an
-//     explicit configuration knob;
-//   - a multilevel (hMETIS-style) partitioner with V-cycling;
-//   - the paper's evaluation methodology: multistart statistics,
-//     best-so-far curves, non-dominated (cost, runtime) frontiers,
-//     speed-dependent ranking diagrams and significance tests;
-//   - a top-down recursive-bisection placer with terminal propagation,
-//     the driving application context.
+//     explicit FMConfig knob;
+//   - multistartable heuristics and their raw multistart samples, the
+//     material of the paper's evaluation methodology;
+//   - k-way partitioning by recursive bisection and the k-way objectives;
+//   - exact and spectral baselines;
+//   - a top-down recursive-bisection placer, the driving application.
+//
+// Netlist I/O, the evaluation harness and the portfolio scheduler live in
+// the commands (cmd/hgconvert, cmd/hgpart, cmd/hgeval, cmd/hgserved).
 //
 // Quick start:
 //
@@ -29,14 +33,12 @@ package hgpart
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"hgpart/internal/core"
 	"hgpart/internal/eval"
 	"hgpart/internal/gen"
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/multilevel"
-	"hgpart/internal/netlist"
 	"hgpart/internal/partition"
 	"hgpart/internal/placer"
 	"hgpart/internal/portfolio"
@@ -58,16 +60,10 @@ type (
 	Partition = partition.P
 	// FMConfig fully describes a flat FM/CLIP variant.
 	FMConfig = core.Config
-	// FMResult reports a flat engine run.
-	FMResult = core.Result
 	// FMEngine runs flat FM passes over a partition.
 	FMEngine = core.Engine
 	// MLConfig parameterizes the multilevel partitioner.
 	MLConfig = multilevel.Config
-	// MLStats reports a multilevel run.
-	MLStats = multilevel.Stats
-	// MLPartitioner is the multilevel (hMETIS-style) bisector.
-	MLPartitioner = multilevel.Partitioner
 	// GenSpec parameterizes the synthetic instance generator.
 	GenSpec = gen.Spec
 	// PlacerConfig controls the top-down placer.
@@ -80,14 +76,6 @@ type (
 	Heuristic = eval.Heuristic
 	// Outcome is the result of one heuristic start.
 	Outcome = eval.Outcome
-	// RunOptions configures the fault-tolerant multistart harness.
-	RunOptions = eval.RunOptions
-	// RunReport is the harness's full per-start and aggregate result.
-	RunReport = eval.RunReport
-	// StartResult is the fate of one harness start.
-	StartResult = eval.StartResult
-	// Checkpoint journals completed starts for interrupt/resume.
-	Checkpoint = eval.Checkpoint
 )
 
 // Re-exported FM configuration enums.
@@ -135,57 +123,19 @@ func NewFMEngine(h *Hypergraph, cfg FMConfig, bal Balance, r *RNG) *FMEngine {
 // CLIP" in the paper's Tables 2/3).
 func StrongFMConfig(clip bool) FMConfig { return core.StrongConfig(clip) }
 
-// NaiveFMConfig returns the deliberately weak configuration standing in for
-// the paper's "Reported" rows.
-func NaiveFMConfig(clip bool) FMConfig { return core.NaiveConfig(clip) }
-
-// NewMLPartitioner builds the multilevel bisector.
-func NewMLPartitioner(h *Hypergraph, cfg MLConfig, bal Balance) *MLPartitioner {
-	return multilevel.New(h, cfg, bal)
-}
-
 // Generate synthesizes an instance from spec.
 func Generate(spec GenSpec) (*Hypergraph, error) { return gen.Generate(spec) }
 
 // MustGenerate is Generate that panics on error.
 func MustGenerate(spec GenSpec) *Hypergraph { return gen.MustGenerate(spec) }
 
-// IBMProfile returns the synthetic stand-in spec for ISPD98 instance i
-// (1-18), matching the published cell/net/pin statistics.
-func IBMProfile(i int) (GenSpec, error) { return gen.IBMProfile(i) }
-
-// MustIBMProfile is IBMProfile that panics on an invalid index.
+// MustIBMProfile returns the synthetic stand-in spec for ISPD98 instance i
+// (1-18), matching the published cell/net/pin statistics; it panics on an
+// invalid index.
 func MustIBMProfile(i int) GenSpec { return gen.MustIBMProfile(i) }
 
 // Scaled downsizes a generator spec by factor f in (0, 1].
 func Scaled(spec GenSpec, f float64) GenSpec { return gen.Scaled(spec, f) }
-
-// ParseHGR reads an hMETIS-format hypergraph.
-func ParseHGR(r io.Reader, name string) (*Hypergraph, error) { return netlist.ParseHGR(r, name) }
-
-// WriteHGR writes h in hMETIS format (edge and vertex weights).
-func WriteHGR(w io.Writer, h *Hypergraph) error { return netlist.WriteHGR(w, h) }
-
-// ParseNetD reads an ISPD98 .netD/.net netlist with an optional .are area
-// file (nil for unit areas).
-func ParseNetD(netR, areR io.Reader, name string) (*Hypergraph, error) {
-	return netlist.ParseNetD(netR, areR, name)
-}
-
-// WriteNetD writes h as an ISPD98 .netD netlist.
-func WriteNetD(w io.Writer, h *Hypergraph) error { return netlist.WriteNetD(w, h) }
-
-// WriteAre writes h's vertex areas as an ISPD98 .are file.
-func WriteAre(w io.Writer, h *Hypergraph) error { return netlist.WriteAre(w, h) }
-
-// ParseError is the typed failure every netlist parser returns: it names
-// the format ("hgr", "netd", ...) and the instance, and unwraps to the
-// underlying cause.
-type ParseError = netlist.ParseError
-
-// AsParseError reports whether err stems from netlist parsing and, if so,
-// returns the typed error.
-func AsParseError(err error) (*ParseError, bool) { return netlist.AsParseError(err) }
 
 // Place runs top-down recursive min-cut bisection placement on h.
 func Place(h *Hypergraph, cfg PlacerConfig) (*Placement, error) { return placer.Place(h, cfg) }
@@ -201,6 +151,10 @@ const (
 	// EngineFlatCLIP is tuned flat CLIP FM.
 	EngineFlatCLIP
 )
+
+// engineNames maps each EngineKind to the engine name hgpart -engine and
+// hgserved requests use.
+var engineNames = [...]string{EngineML: "ml", EngineFlatFM: "flat", EngineFlatCLIP: "clip"}
 
 // BisectOptions configures the one-call Bisect API.
 type BisectOptions struct {
@@ -252,21 +206,13 @@ func Bisect(h *Hypergraph, opt BisectOptions) (*Partition, BisectResult, error) 
 	if opt.VCycles == 0 {
 		opt.VCycles = 1
 	}
-	bal := partition.NewBalance(h.TotalVertexWeight(), opt.Tolerance)
-	cfg := core.StrongConfig(opt.Engine == EngineFlatCLIP)
-	cfg.ReferenceImpl = opt.ReferenceImpl
-
-	var factory func() eval.Heuristic
-	switch opt.Engine {
-	case EngineML:
-		factory = func() eval.Heuristic {
-			return eval.NewML("ML", h, multilevel.Config{Refine: cfg}, bal, opt.VCycles)
-		}
-	case EngineFlatFM, EngineFlatCLIP:
-		factory = func() eval.Heuristic { return eval.NewFlat("flat", h, cfg, bal, rng.New(opt.Seed)) }
-	default:
+	if opt.Engine < 0 || int(opt.Engine) >= len(engineNames) {
 		return nil, BisectResult{}, fmt.Errorf("hgpart: unknown engine %d", opt.Engine)
 	}
+	bal := partition.NewBalance(h.TotalVertexWeight(), opt.Tolerance)
+	arm := portfolio.FixedArm(engineNames[opt.Engine], opt.VCycles)
+	arm.Config.ReferenceImpl = opt.ReferenceImpl
+	factory := arm.Factory(h, bal, opt.Seed)
 	rep := eval.RunMultistart(context.Background(), factory, opt.Starts, opt.Seed, eval.RunOptions{Workers: 1})
 	if rep.BestIdx < 0 {
 		return nil, BisectResult{}, fmt.Errorf("hgpart: no legal partition found (tolerance %.3f may be infeasible)", opt.Tolerance)
@@ -296,79 +242,4 @@ func NewFlatHeuristic(label string, h *Hypergraph, cfg FMConfig, bal Balance, r 
 // Heuristic with vcycles V-cycles applied to the best of a multistart.
 func NewMLHeuristic(label string, h *Hypergraph, cfg MLConfig, bal Balance, vcycles int) Heuristic {
 	return eval.NewML(label, h, cfg, bal, vcycles)
-}
-
-// RunMultistart runs n independent starts of the heuristic produced by
-// factory through the fault-tolerant evaluation harness: cancellation via
-// ctx, wall-clock and work-unit budgets, panic isolation, bounded
-// retry-with-reseed, per-start verification and checkpoint/resume, all while
-// preserving per-start determinism (see internal/eval.RunMultistart).
-func RunMultistart(ctx context.Context, factory func() Heuristic, n int, seed uint64, opt RunOptions) *RunReport {
-	return eval.RunMultistart(ctx, factory, n, seed, opt)
-}
-
-// Finish is the multistart harness's finish step for a run rooted at seed:
-// it recovers a best start resumed from a checkpoint journal (recomputing
-// it and checking its cut), polishes the best with a heuristic from factory
-// seeded from seed, and returns the final outcome with the whole run's work,
-// polish included (see internal/eval.Finish).
-func Finish(factory func() Heuristic, seed uint64, rep *RunReport) (Outcome, error) {
-	return eval.Finish(factory, seed, rep)
-}
-
-// OpenCheckpoint opens (or, with resume, reloads) a JSONL start journal for
-// an experiment identified by (name, seed, n); pass it via
-// RunOptions.Checkpoint so an interrupted multistart can be resumed with
-// identical aggregate statistics.
-func OpenCheckpoint(path, name string, seed uint64, n int, resume bool) (*Checkpoint, error) {
-	return eval.OpenCheckpoint(path, name, seed, n, resume)
-}
-
-// VerifyOutcome returns the standard per-start verifier for
-// RunOptions.Verify: partition-state consistency, the balance constraint and
-// cut agreement.
-func VerifyOutcome(bal Balance) func(Outcome) error { return eval.VerifyOutcome(bal) }
-
-// MCNCProfile returns a synthetic stand-in spec for a classic MCNC test
-// case (unit areas, no macros) — the old-era benchmark class the paper
-// contrasts with ISPD98. See MCNCNames for the available circuits.
-func MCNCProfile(name string) (GenSpec, error) { return gen.MCNCProfile(name) }
-
-// MCNCNames lists the available MCNC profile names.
-func MCNCNames() []string { return gen.MCNCNames() }
-
-// Portfolio scheduling (DESIGN.md §15): cheap instance features bucket each
-// request, a curated portfolio of engine configurations races for the first
-// slice of the budget, and the remaining budget commits to the Pareto-best
-// arm. The result is a pure function of (instance, seed, starts, budget).
-type (
-	// PortfolioFeatures is the deterministic instance-feature vector.
-	PortfolioFeatures = portfolio.Features
-	// PortfolioBucket is the discretized feature grid cell.
-	PortfolioBucket = portfolio.Bucket
-	// PortfolioArm is one engine configuration in the racing portfolio.
-	PortfolioArm = portfolio.Arm
-	// PortfolioScheduler races arms and commits to the winner.
-	PortfolioScheduler = portfolio.Scheduler
-	// PortfolioRaceResult is the racing slice's outcome.
-	PortfolioRaceResult = portfolio.RaceResult
-	// PortfolioResult is the full race+commit outcome.
-	PortfolioResult = portfolio.Result
-)
-
-// ExtractPortfolioFeatures computes the deterministic feature vector in one
-// O(pins) sweep.
-func ExtractPortfolioFeatures(h *Hypergraph) PortfolioFeatures { return portfolio.Extract(h) }
-
-// PortfolioBucketOf discretizes a feature vector onto the bucket grid.
-func PortfolioBucketOf(f PortfolioFeatures) PortfolioBucket { return portfolio.BucketOf(f) }
-
-// DefaultPortfolioArms returns the curated racing portfolio.
-func DefaultPortfolioArms() []PortfolioArm { return portfolio.DefaultArms() }
-
-// RunPortfolio executes the full portfolio schedule — race then commit —
-// and returns the byte-deterministic result.
-func RunPortfolio(ctx context.Context, h *Hypergraph, bal Balance, seed uint64,
-	starts int, workBudget int64) (*PortfolioResult, error) {
-	return (&portfolio.Scheduler{}).Run(ctx, h, bal, seed, starts, workBudget)
 }

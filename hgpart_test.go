@@ -1,17 +1,10 @@
 package hgpart
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func testGraph(t testing.TB) *Hypergraph {
 	t.Helper()
-	h, err := Generate(Scaled(MustIBMProfile(1), 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return MustGenerate(Scaled(MustIBMProfile(1), 0.05))
 }
 
 func TestBisectML(t *testing.T) {
@@ -76,36 +69,6 @@ func TestBisectDeterministic(t *testing.T) {
 	}
 }
 
-func TestFacadeIO(t *testing.T) {
-	h := testGraph(t)
-	var buf bytes.Buffer
-	if err := WriteHGR(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseHGR(&buf, "roundtrip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumPins() != h.NumPins() {
-		t.Fatal("hgr round trip lost pins")
-	}
-
-	var nets, ares bytes.Buffer
-	if err := WriteNetD(&nets, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteAre(&ares, h); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := ParseNetD(&nets, &ares, "roundtrip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back2.TotalVertexWeight() != h.TotalVertexWeight() {
-		t.Fatal("netD round trip lost area")
-	}
-}
-
 func TestFacadeFMEngine(t *testing.T) {
 	h := testGraph(t)
 	bal := NewBalance(h.TotalVertexWeight(), 0.10)
@@ -117,13 +80,6 @@ func TestFacadeFMEngine(t *testing.T) {
 	res := eng.Run(p)
 	if res.Cut > start {
 		t.Fatal("FM worsened")
-	}
-	// Naive config must also run via the facade.
-	p2 := NewPartition(h)
-	p2.RandomBalanced(r, bal)
-	eng2 := NewFMEngine(h, NaiveFMConfig(true), bal, r)
-	if eng2.Run(p2).Cut <= 0 {
-		t.Fatal("naive CLIP produced nonpositive cut")
 	}
 }
 
@@ -206,47 +162,5 @@ func TestFacadeBaselines(t *testing.T) {
 			t.Fatalf("spectral (%d) beat optimum (%d)", tres.Cut, opt.Cut)
 		}
 		_ = tp
-	}
-}
-
-func TestFacadeTrace(t *testing.T) {
-	h := testGraph(t)
-	bal := NewBalance(h.TotalVertexWeight(), 0.10)
-	r := NewRNG(4)
-	eng := NewFMEngine(h, StrongFMConfig(false), bal, r)
-	rec := &TraceRecorder{}
-	eng.SetTracer(rec)
-	p := NewPartition(h)
-	p.RandomBalanced(r, bal)
-	res := eng.Run(p)
-	if len(rec.Passes()) != res.Passes {
-		t.Fatalf("trace recorded %d passes, engine %d", len(rec.Passes()), res.Passes)
-	}
-}
-
-func TestFacadeNewFormats(t *testing.T) {
-	h := testGraph(t)
-	var buf bytes.Buffer
-	if err := WritePaToH(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParsePaToH(&buf, "rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumPins() != h.NumPins() {
-		t.Fatal("patoh round trip lost pins")
-	}
-
-	var nodes, nets bytes.Buffer
-	if err := WriteBookshelf(&nodes, &nets, h, nil); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ParseBookshelf(&nodes, &nets, "rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.H.NumPins() != h.NumPins() {
-		t.Fatal("bookshelf round trip lost pins")
 	}
 }

@@ -3,12 +3,18 @@ package hgpart
 import (
 	"bytes"
 	"testing"
+
+	"hgpart/internal/kwayfm"
+	"hgpart/internal/netlist"
+	"hgpart/internal/rent"
 )
 
-// TestEndToEndPipeline drives the full library surface the way a downstream
-// user would: generate an instance, round-trip it through every file
-// format, partition it with every engine, evaluate every objective, refine
-// k-way, and place it — asserting cross-component consistency at each step.
+// TestEndToEndPipeline drives the library surface the way a downstream user
+// would — generate an instance, partition it with every engine, evaluate
+// every objective, partition k-way and place it — and, through the internal
+// packages the commands use, round-trips it through every file format,
+// refines k-way directly and estimates its Rent exponent, asserting
+// cross-component consistency at each step.
 func TestEndToEndPipeline(t *testing.T) {
 	// 1. Generate.
 	spec := Scaled(MustIBMProfile(3), 0.04)
@@ -24,27 +30,27 @@ func TestEndToEndPipeline(t *testing.T) {
 		run  func() (*Hypergraph, error)
 	}
 	var hgr, netd, are, patoh, nodes, nets bytes.Buffer
-	if err := WriteHGR(&hgr, h); err != nil {
+	if err := netlist.WriteHGR(&hgr, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteNetD(&netd, h); err != nil {
+	if err := netlist.WriteNetD(&netd, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteAre(&are, h); err != nil {
+	if err := netlist.WriteAre(&are, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePaToH(&patoh, h); err != nil {
+	if err := netlist.WritePaToH(&patoh, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBookshelf(&nodes, &nets, h, nil); err != nil {
+	if err := netlist.WriteBookshelf(&nodes, &nets, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, rt := range []roundTrip{
-		{"hgr", func() (*Hypergraph, error) { return ParseHGR(&hgr, "rt") }},
-		{"netd", func() (*Hypergraph, error) { return ParseNetD(&netd, &are, "rt") }},
-		{"patoh", func() (*Hypergraph, error) { return ParsePaToH(&patoh, "rt") }},
+		{"hgr", func() (*Hypergraph, error) { return netlist.ParseHGR(&hgr, "rt") }},
+		{"netd", func() (*Hypergraph, error) { return netlist.ParseNetD(&netd, &are, "rt") }},
+		{"patoh", func() (*Hypergraph, error) { return netlist.ParsePaToH(&patoh, "rt") }},
 		{"bookshelf", func() (*Hypergraph, error) {
-			d, err := ParseBookshelf(&nodes, &nets, "rt")
+			d, err := netlist.ParseBookshelf(&nodes, &nets, "rt")
 			if err != nil {
 				return nil, err
 			}
@@ -103,11 +109,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if SumOfExternalDegrees(h, res.Parts) != ConnectivityMinusOne(h, res.Parts)+CutSize(h, res.Parts) {
 		t.Fatal("SOED identity broken end-to-end")
 	}
-	init, final, err := RefineKWay(h, res.Parts, 4, KWayRefineConfig{Tolerance: 0.15}, NewRNG(20))
+	ref, err := kwayfm.Refine(h, res.Parts, 4, kwayfm.Config{Tolerance: 0.15}, NewRNG(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final > init {
+	if ref.Final > ref.Initial {
 		t.Fatal("k-way refinement worsened")
 	}
 
@@ -121,7 +127,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatal("zero HPWL")
 		}
 		var plBuf bytes.Buffer
-		if err := WriteBookshelfPl(&plBuf, pl.X, pl.Y, 1000); err != nil {
+		if err := netlist.WriteBookshelfPl(&plBuf, pl.X, pl.Y, 1000); err != nil {
 			t.Fatal(err)
 		}
 		if plBuf.Len() == 0 {
@@ -130,7 +136,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 6. Instance realism diagnostic runs end to end.
-	if _, err := RentAnalyze(h, RentOptions{}); err != nil {
+	if _, err := rent.Analyze(h, rent.Options{}); err != nil {
 		t.Fatalf("rent: %v", err)
 	}
 }

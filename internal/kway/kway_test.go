@@ -67,6 +67,9 @@ func TestKWayBalance(t *testing.T) {
 		if res.Imbalance > 0.35 {
 			t.Fatalf("k=%d imbalance %.3f too large", k, res.Imbalance)
 		}
+		if got := objective.Imbalance(h, res.Parts, k); got != res.Imbalance {
+			t.Fatalf("k=%d: result imbalance %v, objective.Imbalance %v", k, res.Imbalance, got)
+		}
 	}
 }
 

@@ -89,8 +89,9 @@ func ReadFiles(f Files) (h *hypergraph.Hypergraph, terminal []bool, err error) {
 
 // WriteFiles writes h in format "hgr", "netd", "patoh" or "bookshelf" to
 // base plus the format's extensions: .hgr, .netD and .are, .patoh, or .nodes
-// and .nets.
-func WriteFiles(h *hypergraph.Hypergraph, format, base string) error {
+// and .nets. terminal marks Bookshelf terminal nodes, as ReadFiles returns
+// them (nil for none); the other formats carry no terminals.
+func WriteFiles(h *hypergraph.Hypergraph, terminal []bool, format, base string) error {
 	switch format {
 	case "hgr":
 		return create(func(w []io.Writer) error { return WriteHGR(w[0], h) }, base+".hgr")
@@ -104,7 +105,7 @@ func WriteFiles(h *hypergraph.Hypergraph, format, base string) error {
 	case "patoh":
 		return create(func(w []io.Writer) error { return WritePaToH(w[0], h) }, base+".patoh")
 	case "bookshelf":
-		return create(func(w []io.Writer) error { return WriteBookshelf(w[0], w[1], h, nil) }, base+".nodes", base+".nets")
+		return create(func(w []io.Writer) error { return WriteBookshelf(w[0], w[1], h, terminal) }, base+".nodes", base+".nets")
 	}
 	return fmt.Errorf("unknown output format %q", format)
 }

@@ -33,7 +33,7 @@ func TestFilesRoundTrip(t *testing.T) {
 		if err := os.Mkdir(filepath.Dir(base), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFiles(h, format, base); err != nil {
+		if err := WriteFiles(h, nil, format, base); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
 		for _, p := range []*string{&files.Path, &files.Are, &files.Nodes, &files.Nets} {
@@ -91,10 +91,10 @@ func TestFilesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFiles(h, "bogus", filepath.Join(dir, "out")); err == nil {
+	if err := WriteFiles(h, nil, "bogus", filepath.Join(dir, "out")); err == nil {
 		t.Error("unknown output format accepted")
 	}
-	if err := WriteFiles(h, "netd", filepath.Join(dir, "no", "such", "dir")); err == nil {
+	if err := WriteFiles(h, nil, "netd", filepath.Join(dir, "no", "such", "dir")); err == nil {
 		t.Error("write into a missing directory succeeded")
 	}
 }

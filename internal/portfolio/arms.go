@@ -34,6 +34,20 @@ func (a Arm) NewHeuristic(h *hypergraph.Hypergraph, bal partition.Balance, r *rn
 	return eval.NewFlat(a.Name, h, a.Config, bal, r)
 }
 
+// FixedArm names the fixed engine a request or command selects: "ml" is
+// the multilevel partitioner with vcycles V-cycles, "flat" and "clip" are
+// strong single-level FM and CLIP (the paper's "Our LIFO"/"Our CLIP"). They
+// are the ml-strong, flat-lifo and clip-guarded configurations, so hgpart,
+// Bisect and hgserved build every fixed engine here.
+func FixedArm(engine string, vcycles int) Arm {
+	return Arm{
+		Name:       engine,
+		Multilevel: engine == "ml",
+		VCycles:    vcycles,
+		Config:     core.StrongConfig(engine == "clip"),
+	}
+}
+
 // Factory adapts the arm to the eval.RunMultistart factory contract with a
 // fixed construction seed, so the commit phase reuses the harness's
 // retry/checkpoint machinery unchanged.

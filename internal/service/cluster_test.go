@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -398,5 +399,45 @@ func TestVCyclesZeroHonoured(t *testing.T) {
 	if resp.Header.Get("X-Hgserved-Cache") != "hit" || !bytes.Equal(body, first) {
 		t.Fatalf("portfolio vcycles 0: disposition %q, identical=%v; want a hit on the default entry",
 			resp.Header.Get("X-Hgserved-Cache"), bytes.Equal(body, first))
+	}
+}
+
+// A field the job does not read never splits the cache: over mode × engine
+// × vcycles, with the cache off so every request computes, two requests
+// share a key if and only if their reports are byte-identical apart from
+// cache_key. The reports fall into six classes: ml at vcycles 0, 1 and 3,
+// flat and clip (which never V-cycle, so any vcycles is the default's), and
+// portfolio (whose winning arm brings its own engine and vcycles).
+func TestIgnoredFieldsShareKey(t *testing.T) {
+	_, hs := testServer(t, func(c *service.Config) { c.CacheBytes = 1 })
+	cacheKey := regexp.MustCompile(`"cache_key":"[0-9a-f]+"`)
+	reports := map[string][]byte{} // cache key → report without it
+	bodies := map[string]string{}  // cache key → first body with it
+	for _, mode := range []string{"", `"mode":"portfolio",`} {
+		for _, engine := range []string{"", `"engine":"ml",`, `"engine":"flat",`, `"engine":"clip",`} {
+			for _, vcycles := range []string{"", `"vcycles":0,`, `"vcycles":1,`, `"vcycles":3,`} {
+				body := `{` + mode + engine + vcycles + `"benchmark":"ibm01","scale":0.05,"starts":2}`
+				resp, rep := post(t, hs, body)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Hgserved-Cache") != "miss" {
+					t.Fatalf("%s: status %d, disposition %q: %s", body, resp.StatusCode, resp.Header.Get("X-Hgserved-Cache"), rep)
+				}
+				key := string(cacheKey.Find(rep))
+				stripped := cacheKey.ReplaceAll(rep, nil)
+				if prev, ok := reports[key]; ok && !bytes.Equal(prev, stripped) {
+					t.Errorf("%s and %s share a key but their reports differ:\n%s\nvs\n%s", bodies[key], body, prev, stripped)
+				}
+				for k, prev := range reports {
+					if k != key && bytes.Equal(prev, stripped) {
+						t.Errorf("%s and %s have identical reports under different keys", bodies[k], body)
+					}
+				}
+				if _, ok := reports[key]; !ok {
+					reports[key], bodies[key] = stripped, body
+				}
+			}
+		}
+	}
+	if len(reports) != 6 {
+		t.Errorf("%d distinct keys, want 6 (ml at vcycles 0/1/3, flat, clip, portfolio)", len(reports))
 	}
 }

@@ -11,11 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"hgpart/internal/core"
 	"hgpart/internal/eval"
 	"hgpart/internal/hypergraph"
 	"hgpart/internal/kwayfm"
-	"hgpart/internal/multilevel"
 	"hgpart/internal/objective"
 	"hgpart/internal/partition"
 	"hgpart/internal/portfolio"
@@ -745,33 +743,19 @@ type jobPlan struct {
 	portfolio *PortfolioReport
 }
 
-// fixedPlan is the pre-phase of a fixed-engine job. The engines mirror
-// cmd/hgpart's construction — StrongConfig FM tuned per the paper's Tables
-// 2/3, multilevel by default — with a generator derived from the request
-// seed alone; the lifecycle's finish step (eval.Finish) is the one the CLI
-// and hgpart.Bisect run, so their answers agree byte for byte.
+// fixedPlan is the pre-phase of a fixed-engine job: the engine is
+// portfolio.FixedArm, built with a generator derived from the request seed
+// alone, as cmd/hgpart and hgpart.Bisect build it; the lifecycle's finish
+// step (eval.Finish) is the one they run, so their answers agree byte for
+// byte.
 func fixedPlan(req PartitionRequest, h *hypergraph.Hypergraph, bal partition.Balance) *jobPlan {
-	p := &jobPlan{
+	return &jobPlan{
+		raw:        portfolio.FixedArm(req.Engine, req.VCycles).Factory(h, bal, req.Seed),
 		seed:       req.Seed,
 		workBudget: req.WorkBudget,
 		engine:     req.Engine,
 		vcycles:    req.VCycles,
 	}
-	switch req.Engine {
-	case "flat":
-		p.raw = func() eval.Heuristic {
-			return eval.NewFlat("flat-FM", h, core.StrongConfig(false), bal, rng.New(req.Seed))
-		}
-	case "clip":
-		p.raw = func() eval.Heuristic {
-			return eval.NewFlat("flat-CLIP", h, core.StrongConfig(true), bal, rng.New(req.Seed))
-		}
-	default:
-		p.raw = func() eval.Heuristic {
-			return eval.NewML("ML", h, multilevel.Config{Refine: core.StrongConfig(false)}, bal, req.VCycles)
-		}
-	}
-	return p
 }
 
 // run executes one job end to end: the mode's pre-phase, then the one

@@ -41,15 +41,16 @@ type PartitionRequest struct {
 	// Mode selects the scheduling strategy: "" (fixed engine, the default)
 	// or "portfolio" — race the curated arm portfolio for the first slice of
 	// the budget, then commit the remainder to the winner (DESIGN.md §15).
-	// With mode=portfolio the engine/vcycles fields are ignored: the winning
-	// arm brings its own configuration.
+	// With mode=portfolio the engine/vcycles fields are ignored, and keyed
+	// as their defaults: the winning arm brings its own configuration.
 	Mode string `json:"mode,omitempty"`
 	// Starts is the number of independent starts (default 4).
 	Starts int `json:"starts,omitempty"`
 	// VCycles applied to the best solution with the ml engine:
 	// defaultVCycles when the field is absent (admitRequest presets it), and
-	// an explicit 0 means none. Never omitted, so a coordinator's forwarded
-	// body keeps its 0.
+	// an explicit 0 means none. Flat, clip and mode=portfolio ignore it and
+	// echo and key defaultVCycles. Never omitted, so a coordinator's
+	// forwarded body keeps its 0.
 	VCycles int `json:"vcycles"`
 	// Tolerance is the balance tolerance (default 0.02).
 	Tolerance float64 `json:"tolerance,omitempty"`
@@ -106,6 +107,22 @@ func (r *PartitionRequest) normalize() {
 	}
 	if r.Scale == 0 {
 		r.Scale = 1
+	}
+}
+
+// canonicalize sets every field a partition job does not read to its
+// default, so the cache key, the report echo and a coordinator's forwarded
+// body all name the configuration that ran: mode=portfolio reads neither
+// engine nor vcycles (the winning arm brings its own), and flat and clip
+// never V-cycle. It runs after validation, so an out-of-range ignored field
+// is still refused, and on /v1/partition only: /v1/trace reads engine under
+// any mode.
+func (r *PartitionRequest) canonicalize() {
+	if r.Mode == "portfolio" {
+		r.Engine = "ml"
+	}
+	if r.Mode == "portfolio" || r.Engine != "ml" {
+		r.VCycles = defaultVCycles
 	}
 }
 
@@ -218,26 +235,23 @@ func instanceHash(h *hypergraph.Hypergraph) string {
 // count, priority, the wall budget, a fixed engine's work budget) are
 // deliberately excluded. Budget-truncated runs are never cached, so a
 // complete budgeted fixed-engine run may legitimately share its key with the
-// unbudgeted one — they are byte-identical.
+// unbudgeted one — they are byte-identical. r is canonical (canonicalize),
+// so a field the job ignores is keyed at its default.
 //
 // RefineThreads follows the same rule split in two: whether the parallel
 // polish runs changes the answer (so its presence is keyed), but the thread
 // count does not — the synchronous-round refiner is byte-identical at every
 // positive count — so refine_threads=1 and refine_threads=8 share an entry.
 func cacheKey(instHash string, r *PartitionRequest) string {
-	vcycles := r.VCycles
-	if r.Mode == "portfolio" {
-		vcycles = defaultVCycles // ignored: the winning arm brings its own
-	}
 	cfg := fmt.Sprintf("hgserved/v1|inst=%s|engine=%s|starts=%d|vcycles=%d|tol=%s|seed=%d",
-		instHash, r.Engine, r.Starts, vcycles,
+		instHash, r.Engine, r.Starts, r.VCycles,
 		strconv.FormatFloat(r.Tolerance, 'g', -1, 64), r.Seed)
 	if r.RefineThreads > 0 {
 		cfg += "|parfm=1"
 	}
 	if r.Mode == "portfolio" {
-		// The portfolio schedule replaces the fixed engine entirely (the
-		// ignored vcycles is keyed as the default). Its report is a
+		// The portfolio schedule replaces the fixed engine entirely (its
+		// ignored engine and vcycles arrive canonical). Its report is a
 		// pure function of (instance, starts, tolerance, seed, work budget):
 		// the race's per-arm share is work_budget/4, so even a complete
 		// budgeted report carries different arm traces than the unbudgeted

@@ -392,8 +392,8 @@ func (s *Server) checkDeadline(w http.ResponseWriter, r *http.Request) (deadline
 }
 
 // handlePartition is the main entry point. Flow: read body → body-digest
-// memo hit, or decode → validate → deadline → resolve instance → cache
-// lookup → singleflight submit → (sync) wait.
+// memo hit, or decode → validate → deadline → resolve instance →
+// canonicalize → cache lookup → singleflight submit → (sync) wait.
 //
 // A body whose digest the cache remembers has passed decode, validate,
 // resolve and admit before, and each is a pure function of the body bytes
@@ -432,6 +432,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	req.canonicalize()
 	instHash := instanceHash(h)
 	key := cacheKey(instHash, &req)
 	// Remember the body once the request is answered: by then a miss's

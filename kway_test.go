@@ -1,9 +1,6 @@
 package hgpart
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestPartitionKWayFacade(t *testing.T) {
 	h := testGraph(t)
@@ -20,9 +17,6 @@ func TestPartitionKWayFacade(t *testing.T) {
 	if res.ConnectivityMinusOne != ConnectivityMinusOne(h, res.Parts) {
 		t.Fatal("connectivity disagrees")
 	}
-	if got := Imbalance(h, res.Parts, 4); math.Abs(got-res.Imbalance) > 1e-12 {
-		t.Fatal("imbalance disagrees")
-	}
 }
 
 func TestObjectiveFacade(t *testing.T) {
@@ -35,53 +29,10 @@ func TestObjectiveFacade(t *testing.T) {
 	if SumOfExternalDegrees(h, a) != ConnectivityMinusOne(h, a)+CutSize(h, a) {
 		t.Fatal("SOED identity broken via facade")
 	}
-	if RatioCut(h, a) <= 0 {
-		t.Fatal("ratio cut nonpositive on cut instance")
-	}
 	if ScaledCost(h, a, 2) <= 0 {
 		t.Fatal("scaled cost nonpositive")
 	}
 	if Absorption(h, a, 2) <= 0 {
 		t.Fatal("absorption nonpositive")
-	}
-	w := PartWeights(h, a, 2)
-	if w[0]+w[1] != h.TotalVertexWeight() {
-		t.Fatal("part weights don't sum to total")
-	}
-}
-
-func TestBisectFixedFacade(t *testing.T) {
-	h := testGraph(t)
-	fixed := make([]int8, h.NumVertices())
-	for i := range fixed {
-		fixed[i] = FreeVertex
-	}
-	fixed[0] = 0
-	fixed[1] = 1
-	p, st := BisectFixed(h, fixed, 0.1, 3)
-	if p.Side(0) != 0 || p.Side(1) != 1 {
-		t.Fatal("BisectFixed ignored pins")
-	}
-	bal := NewBalance(h.TotalVertexWeight(), 0.1)
-	if !p.Legal(bal) || st.Cut != p.Cut() {
-		t.Fatal("BisectFixed result invalid")
-	}
-}
-
-func TestMCNCFacade(t *testing.T) {
-	names := MCNCNames()
-	if len(names) == 0 {
-		t.Fatal("no MCNC names")
-	}
-	spec, err := MCNCProfile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := Generate(Scaled(spec, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.MaxVertexWeight() != 1 {
-		t.Fatal("MCNC instance must be unit-area")
 	}
 }
