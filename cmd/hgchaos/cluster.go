@@ -10,62 +10,52 @@ package main
 // worker address is unreachable.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"time"
 )
-
-// clusterScenarioNames lists the cluster scenarios run() dispatches here.
-var clusterScenarioNames = []string{
-	"cluster-topology", "cluster-worker-kill", "cluster-coord-kill", "cluster-degrade",
-}
-
-func runClusterScenario(ctx context.Context, opt options, name, req string, baseline []byte) int {
-	switch name {
-	case "cluster-topology":
-		return clusterTopology(ctx, opt, req, baseline)
-	case "cluster-worker-kill":
-		return clusterWorkerKill(ctx, opt, req, baseline)
-	case "cluster-coord-kill":
-		return clusterCoordKill(ctx, opt, req, baseline)
-	case "cluster-degrade":
-		return clusterDegrade(ctx, opt, req, baseline)
-	default:
-		fmt.Fprintf(opt.out, "hgchaos: unknown cluster scenario %q (have %s)\n",
-			name, strings.Join(clusterScenarioNames, ", "))
-		return 2
-	}
-}
 
 // cluster is a coordinator plus its worker fleet under harness control.
 type cluster struct {
-	workers     []*daemon
-	workerAddrs []string
-	coord       *daemon
+	cpDir   string   // the checkpoint dir every node journals to
+	addrs   []string // worker addresses, in boot order
+	workers []*daemon
+	coord   *daemon
 }
 
-func (c *cluster) stopAll() {
+func (c *cluster) stop() {
 	if c.coord != nil {
 		c.coord.stop()
 	}
 	for _, w := range c.workers {
-		if w != nil {
-			w.stop()
+		w.stop()
+	}
+}
+
+// busyWorker returns the index of a worker running a job with at least
+// minDone starts completed, or -1.
+func (c *cluster) busyWorker(ctx context.Context, minDone int) int {
+	for i, w := range c.workers {
+		var jobs []jobStatusDoc
+		if getJSON(ctx, "http://"+w.addr+"/v1/jobs", &jobs) != nil {
+			continue
+		}
+		for _, j := range jobs {
+			if j.State == "running" && j.Completed >= minDone {
+				return i
+			}
 		}
 	}
+	return -1
 }
 
 // freeAddrs reserves n distinct loopback ports by binding and releasing
 // them; workers need their addresses known up front so each can be started
-// with -peers naming its siblings.
+// with -peers naming its siblings. Its errors are environment failures.
 func freeAddrs(n int) ([]string, error) {
 	addrs := make([]string, 0, n)
 	lns := make([]net.Listener, 0, n)
@@ -77,7 +67,7 @@ func freeAddrs(n int) ([]string, error) {
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return nil, envError{err}
 		}
 		lns = append(lns, ln)
 		addrs = append(addrs, ln.Addr().String())
@@ -85,123 +75,115 @@ func freeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// startCluster boots n workers (peered with each other, journaling to the
-// shared cpDir) and a coordinator routing to all of them.
-func startCluster(ctx context.Context, opt options, name string, n int, cpDir string,
-	workerExtra []string) (*cluster, error) {
+// startCoord boots a coordinator routing to workers and journaling to
+// cpDir; extra adds the scenario's own flags.
+func startCoord(ctx context.Context, e *env, tag string, workers []string, cpDir string, extra ...string) (*daemon, error) {
+	return startDaemon(ctx, e, tag, append([]string{
+		"-cluster-workers", strings.Join(workers, ","),
+		"-heartbeat-interval", "100ms",
+		"-checkpoint-dir", cpDir,
+	}, extra...)...)
+}
+
+// startCluster boots n workers under e.path(tag), peered with each other
+// and journaling to one shared checkpoint dir, with workerArgs added, and a
+// coordinator routing to all of them. coordArgs, when non-nil, returns
+// extra coordinator flags given the worker addresses.
+func startCluster(ctx context.Context, e *env, tag string, n int, workerArgs []string,
+	coordArgs func(workers []string) []string) (*cluster, error) {
 	addrs, err := freeAddrs(n)
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{workerAddrs: addrs}
+	c := &cluster{cpDir: e.path(tag, "checkpoints"), addrs: addrs}
 	for i, addr := range addrs {
-		var peers []string
-		for j, p := range addrs {
-			if j != i {
-				peers = append(peers, p)
-			}
-		}
-		args := []string{"-addr", addr, "-checkpoint-dir", cpDir}
-		if len(peers) > 0 {
+		args := []string{"-addr", addr, "-checkpoint-dir", c.cpDir}
+		if peers := slices.Delete(slices.Clone(addrs), i, i+1); len(peers) > 0 {
 			args = append(args, "-peers", strings.Join(peers, ","))
 		}
-		args = append(args, workerExtra...)
-		w, err := startDaemon(ctx, opt, fmt.Sprintf("%s-w%d", name, i), args)
+		w, err := startDaemon(ctx, e, filepath.Join(tag, fmt.Sprintf("w%d", i)), append(args, workerArgs...)...)
 		if err != nil {
-			c.stopAll()
+			c.stop()
 			return nil, fmt.Errorf("worker %d: %w", i, err)
 		}
 		c.workers = append(c.workers, w)
 	}
-	coord, err := startDaemon(ctx, opt, name+"-coord", []string{
-		"-cluster-workers", strings.Join(addrs, ","),
-		"-heartbeat-interval", "100ms",
-		"-checkpoint-dir", cpDir,
-	})
-	if err != nil {
-		c.stopAll()
+	var extra []string
+	if coordArgs != nil {
+		extra = coordArgs(addrs)
+	}
+	if c.coord, err = startCoord(ctx, e, filepath.Join(tag, "coord"), addrs, c.cpDir, extra...); err != nil {
+		c.stop()
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
-	c.coord = coord
 	return c, nil
 }
 
 // clusterTopology proves placement-independence: 1-, 2- and 3-worker
 // clusters all reproduce the single-node baseline byte for byte, and a
 // repeated request is served from the coordinator's cache.
-func clusterTopology(ctx context.Context, opt options, req string, baseline []byte) int {
+func clusterTopology(ctx context.Context, e *env) error {
+	return acrossTopologies(ctx, e, true)
+}
+
+// acrossTopologies boots 1-, 2- and 3-worker clusters in turn; each must
+// serve e.baseline, and with repeatHit a second request must be a
+// byte-identical coordinator cache hit.
+func acrossTopologies(ctx context.Context, e *env, repeatHit bool) error {
 	for n := 1; n <= 3; n++ {
-		cpDir := filepath.Join(opt.workdir, fmt.Sprintf("cluster-topology-%d", n), "checkpoints")
-		if err := os.MkdirAll(cpDir, 0o755); err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: %v\n", err)
-			return 2
-		}
-		c, err := startCluster(ctx, opt, fmt.Sprintf("cluster-topology-%d", n), n, cpDir, nil)
+		err := func() error {
+			c, err := startCluster(ctx, e, fmt.Sprintf("cluster-%d", n), n, nil, nil)
+			if err != nil {
+				return fmt.Errorf("%d workers: %w", n, err)
+			}
+			defer c.stop()
+			what := fmt.Sprintf("%d-worker report", n)
+			if _, err := e.expect(ctx, c.coord.addr, what, ""); err != nil {
+				return err
+			}
+			if repeatHit {
+				_, err = e.expect(ctx, c.coord.addr, "repeated "+what, "hit")
+			}
+			return err
+		}()
 		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: %d workers: %v\n", n, err)
-			return 2
+			return err
 		}
-		body, _, err := submitSync(ctx, c.coord.addr, req, opt.seed)
-		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: %d workers: %v\n", n, err)
-			c.stopAll()
-			return 1
-		}
-		if !bytes.Equal(body, baseline) {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: %d-worker report differs from baseline (%d vs %d bytes)\n",
-				n, len(body), len(baseline))
-			c.stopAll()
-			return 1
-		}
-		body2, sv, err := submitSync(ctx, c.coord.addr, req, opt.seed)
-		if err != nil || !bytes.Equal(body2, baseline) || sv.cache != "hit" {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-topology: repeat request not a byte-identical cache hit (disposition %q, err %v)\n", sv.cache, err)
-			c.stopAll()
-			return 1
-		}
-		fmt.Fprintf(opt.out, "hgchaos: cluster-topology: %d worker(s) byte-identical\n", n)
-		c.stopAll()
+		e.logf("%d worker(s) byte-identical", n)
 	}
-	return 0
+	return nil
 }
 
 // clusterWorkerKill is the core failover proof: SIGKILL the worker that is
 // computing the job mid-run; the coordinator must fail the job over to the
 // survivor, which resumes from the shared journal (resumed >= 1) and
 // produces bytes identical to the uninterrupted single-node baseline.
-func clusterWorkerKill(ctx context.Context, opt options, req string, baseline []byte) int {
+func clusterWorkerKill(ctx context.Context, e *env) error {
 	const rearms = 3
 	for attempt := 0; attempt < rearms; attempt++ {
-		rc, rearm := clusterWorkerKillOnce(ctx, opt, req, baseline, attempt)
-		if !rearm {
-			return rc
+		rearm, err := clusterWorkerKillOnce(ctx, e, attempt)
+		if err != nil || !rearm {
+			return err
 		}
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job finished before the kill landed; re-arming\n")
+		e.logf("job finished before the kill landed; re-arming")
 	}
-	fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: could not catch the job mid-run after %d attempts\n", rearms)
-	return 1
+	return fmt.Errorf("could not catch the job mid-run after %d attempts", rearms)
 }
 
-func clusterWorkerKillOnce(ctx context.Context, opt options, req string, baseline []byte, attempt int) (int, bool) {
-	name := fmt.Sprintf("cluster-worker-kill-%d", attempt)
-	cpDir := filepath.Join(opt.workdir, name, "checkpoints")
-	if err := os.MkdirAll(cpDir, 0o755); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: %v\n", err)
-		return 2, false
-	}
+// clusterWorkerKillOnce makes one attempt; rearm reports that the job
+// finished before a victim could be picked.
+func clusterWorkerKillOnce(ctx context.Context, e *env, attempt int) (rearm bool, err error) {
 	// The latency spec stretches every journal write so the job is reliably
 	// still mid-run when the kill lands (same trick as mid-drain).
-	c, err := startCluster(ctx, opt, name, 2, cpDir, []string{"-chaos", "write:.jsonl:p1:latency=150ms"})
+	c, err := startCluster(ctx, e, fmt.Sprintf("try-%d", attempt), 2,
+		[]string{"-chaos", "write:.jsonl:p1:latency=150ms"}, nil)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: %v\n", err)
-		return 2, false
+		return false, err
 	}
-	defer c.stopAll()
-
-	cjID, err := submitAsyncID(ctx, c.coord.addr, req)
+	defer c.stop()
+	id, err := submitAsyncID(ctx, c.coord.addr, e.req)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: submit: %v\n", err)
-		return 2, false
+		return false, err
 	}
 
 	// Find the worker actually executing the job, and wait until it has >= 2
@@ -209,227 +191,130 @@ func clusterWorkerKillOnce(ctx context.Context, opt options, req string, baselin
 	// written and fsynced by the same goroutine that counts completions, so
 	// completion k acknowledges record k-1).
 	victim := -1
-	for victim < 0 {
-		if ctx.Err() != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: %v\n", ctx.Err())
-			return 2, false
+	err = poll(ctx, func() (bool, error) {
+		if st, err := jobStatus(ctx, c.coord.addr, id); err == nil && (st.State == "done" || st.State == "failed") {
+			rearm = true // too fast
+			return true, nil
 		}
-		if st, err := jobStatus(ctx, c.coord.addr, cjID); err == nil && (st.State == "done" || st.State == "failed") {
-			return 0, true // too fast; re-arm
-		}
-		for i, w := range c.workers {
-			st, err := runningJob(ctx, w.addr)
-			if err == nil && st.Completed >= 2 {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
+		victim = c.busyWorker(ctx, 2)
+		return victim >= 0, nil
+	})
+	if err != nil {
+		return false, envError{err}
+	}
+	if rearm {
+		return true, nil
 	}
 
 	_ = c.workers[victim].cmd.Process.Kill()
 	if err := c.workers[victim].waitKilled(ctx); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: %v\n", err)
-		return 1, false
+		return false, err
 	}
-	fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: killed worker %s mid-job\n", c.workerAddrs[victim])
+	e.logf("killed worker %s mid-job", c.addrs[victim])
 
 	// The coordinator must finish the job on the survivor.
 	var st *jobStatusDoc
-	for {
-		st, err = jobStatus(ctx, c.coord.addr, cjID)
-		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job status: %v\n", err)
-			return 1, false
+	err = poll(ctx, func() (bool, error) {
+		var err error
+		if st, err = jobStatus(ctx, c.coord.addr, id); err != nil {
+			return false, fmt.Errorf("job status: %w", err)
 		}
-		if st.State == "done" || st.State == "failed" {
-			break
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job never finished: %v\n", ctx.Err())
-			return 1, false
-		}
-		time.Sleep(20 * time.Millisecond)
+		return st.State == "done" || st.State == "failed", nil
+	})
+	if err != nil {
+		return false, fmt.Errorf("job never finished: %w", err)
 	}
 	if st.State != "done" {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job failed after failover: %s\n", st.Error)
-		return 1, false
+		return false, fmt.Errorf("job failed after failover: %s", st.Error)
 	}
-	if st.Worker == c.workerAddrs[victim] {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job claims to have finished on the dead worker %s\n", st.Worker)
-		return 1, false
+	if st.Worker == c.addrs[victim] {
+		return false, fmt.Errorf("job claims to have finished on the dead worker %s", st.Worker)
 	}
 
 	// Byte-identity: the coordinator's cached bytes are the survivor's
 	// response verbatim.
-	body, sv, err := submitSync(ctx, c.coord.addr, req, opt.seed)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: refetch: %v\n", err)
-		return 1, false
-	}
-	if sv.cache != "hit" {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: refetch was %q, want coordinator cache hit\n", sv.cache)
-		return 1, false
-	}
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: failover report differs from baseline (%d vs %d bytes)\n",
-			len(body), len(baseline))
-		return 1, false
+	if _, err := e.expect(ctx, c.coord.addr, "failover report", "hit"); err != nil {
+		return false, err
 	}
 
 	// The survivor must have resumed journaled starts, not recomputed them.
 	if st.Worker == "" || st.RemoteJob == "" {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: job status carries no worker/remote_job\n")
-		return 1, false
+		return false, errors.New("job status carries no worker/remote_job")
 	}
 	sst, err := jobStatus(ctx, st.Worker, st.RemoteJob)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: survivor job status: %v\n", err)
-		return 1, false
+		return false, fmt.Errorf("survivor job status: %w", err)
 	}
 	if sst.Resumed < 1 {
-		fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: survivor recomputed everything (resumed=0); the journal handoff did nothing\n")
-		return 1, false
+		return false, errors.New("survivor recomputed everything (resumed=0); the journal handoff did nothing")
 	}
-	fmt.Fprintf(opt.out, "hgchaos: cluster-worker-kill: survivor %s resumed %d journaled start(s)\n",
-		st.Worker, sst.Resumed)
-	return 0, false
+	e.logf("survivor %s resumed %d journaled start(s)", st.Worker, sst.Resumed)
+	return false, nil
 }
 
 // clusterCoordKill SIGKILLs the coordinator while a job is mid-route on a
 // worker, then boots a fresh coordinator over the same fleet; the resubmit
 // must coalesce onto the worker's still-running computation and reproduce
 // the baseline bytes.
-func clusterCoordKill(ctx context.Context, opt options, req string, baseline []byte) int {
-	name := "cluster-coord-kill"
-	cpDir := filepath.Join(opt.workdir, name, "checkpoints")
-	if err := os.MkdirAll(cpDir, 0o755); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
-	}
-	c, err := startCluster(ctx, opt, name, 2, cpDir, []string{"-chaos", "write:.jsonl:p1:latency=150ms"})
+func clusterCoordKill(ctx context.Context, e *env) error {
+	c, err := startCluster(ctx, e, "", 2, []string{"-chaos", "write:.jsonl:p1:latency=150ms"}, nil)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
+		return err
 	}
-	defer c.stopAll()
-
-	if _, err := submitAsyncID(ctx, c.coord.addr, req); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: submit: %v\n", name, err)
-		return 2
+	defer c.stop()
+	if _, err := submitAsyncID(ctx, c.coord.addr, e.req); err != nil {
+		return err
 	}
 	// Wait until a worker is visibly executing the routed job, then kill the
 	// coordinator mid-route.
-	for {
-		if ctx.Err() != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, ctx.Err())
-			return 2
-		}
-		running := false
-		for _, w := range c.workers {
-			if st, err := runningJob(ctx, w.addr); err == nil && st.Completed >= 1 {
-				running = true
-				break
-			}
-		}
-		if running {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := poll(ctx, func() (bool, error) { return c.busyWorker(ctx, 1) >= 0, nil }); err != nil {
+		return envError{err}
 	}
 	_ = c.coord.cmd.Process.Kill()
 	if err := c.coord.waitKilled(ctx); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 1
+		return err
 	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: killed coordinator mid-route\n", name)
+	e.logf("killed coordinator mid-route")
 
-	coord2, err := startDaemon(ctx, opt, name+"-coord2", []string{
-		"-cluster-workers", strings.Join(c.workerAddrs, ","),
-		"-heartbeat-interval", "100ms",
-		"-checkpoint-dir", cpDir,
-	})
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restart coordinator: %v\n", name, err)
-		return 2
+	if c.coord, err = startCoord(ctx, e, "coord2", c.addrs, c.cpDir); err != nil {
+		return fmt.Errorf("restart coordinator: %w", err)
 	}
-	c.coord = coord2
-	body, _, err := submitSync(ctx, coord2.addr, req, opt.seed)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: resubmit: %v\n", name, err)
-		return 1
-	}
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: post-restart report differs from baseline (%d vs %d bytes)\n",
-			name, len(body), len(baseline))
-		return 1
-	}
-	return 0
+	_, err = e.expect(ctx, c.coord.addr, "post-restart report", "")
+	return err
 }
 
 // clusterDegrade points a coordinator at a fleet that does not exist: the
 // request must still succeed (single-node degradation, no 5xx storm) with
 // baseline-identical bytes, and the cluster view must show zero healthy
 // workers with a local fallback recorded.
-func clusterDegrade(ctx context.Context, opt options, req string, baseline []byte) int {
-	name := "cluster-degrade"
-	cpDir := filepath.Join(opt.workdir, name, "checkpoints")
-	if err := os.MkdirAll(cpDir, 0o755); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
-	}
+func clusterDegrade(ctx context.Context, e *env) error {
 	dead, err := freeAddrs(2)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
+		return err
 	}
-	coord, err := startDaemon(ctx, opt, name+"-coord", []string{
-		"-cluster-workers", strings.Join(dead, ","),
-		"-heartbeat-interval", "100ms",
-		"-checkpoint-dir", cpDir,
-	})
+	coord, err := startCoord(ctx, e, "coord", dead, e.path("checkpoints"))
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
+		return err
 	}
 	defer coord.stop()
 
-	body, sv, err := submitSync(ctx, coord.addr, req, opt.seed)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: request against a dead fleet failed: %v\n", name, err)
-		return 1
+	if _, err := e.expect(ctx, coord.addr, "degraded report", "local-fallback"); err != nil {
+		return err
 	}
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: degraded report differs from baseline (%d vs %d bytes)\n",
-			name, len(body), len(baseline))
-		return 1
+	var doc clusterDoc
+	if err := getJSON(ctx, "http://"+coord.addr+"/v1/cluster", &doc); err != nil {
+		return fmt.Errorf("cluster status: %w", err)
 	}
-	if sv.cache != "local-fallback" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: disposition %q, want local-fallback\n", name, sv.cache)
-		return 1
+	if doc.Healthy != 0 || doc.LocalFallbacks < 1 {
+		return fmt.Errorf("cluster view healthy=%d local_fallbacks=%d, want 0 and >=1",
+			doc.Healthy, doc.LocalFallbacks)
 	}
-	var cs struct {
-		Healthy        int   `json:"healthy"`
-		LocalFallbacks int64 `json:"local_fallbacks"`
-	}
-	if err := getJSON(ctx, "http://"+coord.addr+"/v1/cluster", &cs); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: cluster status: %v\n", name, err)
-		return 1
-	}
-	if cs.Healthy != 0 || cs.LocalFallbacks < 1 {
-		fmt.Fprintf(opt.out, "hgchaos: %s: cluster view healthy=%d local_fallbacks=%d, want 0 and >=1\n",
-			name, cs.Healthy, cs.LocalFallbacks)
-		return 1
-	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: dead fleet degraded to a local compute, bytes identical\n", name)
-	return 0
+	e.logf("dead fleet degraded to a local compute, bytes identical")
+	return nil
 }
 
 // jobStatusDoc is the subset of the job-status document the scenarios read.
 type jobStatusDoc struct {
-	ID        string `json:"id"`
 	State     string `json:"state"`
 	Completed int    `json:"completed"`
 	Resumed   int    `json:"resumed"`
@@ -447,60 +332,4 @@ func jobStatus(ctx context.Context, addr, id string) (*jobStatusDoc, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// runningJob returns the first running job in a worker's job list, or an
-// error when none is running.
-func runningJob(ctx context.Context, addr string) (*jobStatusDoc, error) {
-	var jobs []jobStatusDoc
-	if err := getJSON(ctx, "http://"+addr+"/v1/jobs", &jobs); err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		if jobs[i].State == "running" {
-			return &jobs[i], nil
-		}
-	}
-	return nil, fmt.Errorf("no running job on %s", addr)
-}
-
-func getJSON(ctx context.Context, url string, into any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-// submitAsyncID fires the workload asynchronously and returns the job id.
-func submitAsyncID(ctx context.Context, addr, req string) (string, error) {
-	async := strings.TrimSuffix(strings.TrimSpace(req), "}") + `,"async":true}`
-	resp, err := httpPost(ctx, "http://"+addr+"/v1/partition", async)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("async submit: status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	var doc struct {
-		Job string `json:"job"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil || doc.Job == "" {
-		return "", fmt.Errorf("async submit: no job id in %s", bytes.TrimSpace(b))
-	}
-	return doc.Job, nil
 }

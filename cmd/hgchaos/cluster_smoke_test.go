@@ -11,7 +11,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,13 +21,7 @@ func TestClusterSmoke(t *testing.T) {
 		t.Skip("cluster smoke boots real daemon fleets; skipped in -short")
 	}
 	workdir := t.TempDir()
-	bin := filepath.Join(workdir, "hgserved")
-	// -race on the daemon itself: the cluster code paths (dispatch,
-	// failover, stealing, peering) run under the detector, per the CI gate.
-	build := exec.Command("go", "build", "-race", "-o", bin, "hgpart/cmd/hgserved")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build hgserved -race: %v\n%s", err, out)
-	}
+	bin := hgservedBin(t, true)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()

@@ -1,16 +1,20 @@
-// Command hgchaos is the crash-consistency harness: it boots a real
-// hgserved daemon, submits a reproducible workload, kills the daemon at
-// fault-injected points (mid-record write, mid-fsync, mid-drain), restarts
-// it, resubmits the identical request, and asserts that the recovered
-// report is byte-identical to an uninterrupted run.
+// Command hgchaos is the crash-consistency harness: it boots real hgserved
+// daemons, submits a reproducible workload, injects faults (kills at
+// journal operations, node kills, network faults), and asserts that every
+// report that comes back is byte-identical to an uninterrupted run.
 //
 // Usage:
 //
 //	hgchaos -bin ./hgserved -seed 7 -scenarios mid-record,mid-fsync,mid-drain
 //
-// The kill points ride on hgserved's -chaos flag (internal/chaos fault
-// specs), so where the process dies is a deterministic function of the spec,
-// never of timing. What hgchaos proves end to end:
+// Every scenario is one entry of a single ordered table (scenarioTable).
+// Names are checked before any daemon boots, and the uninterrupted
+// single-node baseline is computed only when a requested scenario compares
+// against it.
+//
+// Kill scenarios (mid-record, mid-fsync, mid-drain) ride on hgserved's
+// -chaos flag (internal/chaos fault specs), so where the process dies is a
+// deterministic function of the spec, never of timing. They prove:
 //
 //   - the journal's completed starts survive a SIGKILL (torn tails included),
 //   - recovery quarantines damaged records instead of aborting,
@@ -23,10 +27,6 @@
 // result — or the fully degraded local compute — must still be
 // byte-identical to the uninterrupted single-node baseline.
 //
-// The portfolio scenario proves mode=portfolio determinism: identical
-// report bytes across a repeat, a restart on the same checkpoint dir, a
-// daemon with no checkpoint dir, and 1/2/3-worker cluster topologies.
-//
 // Network chaos scenarios (net-partition, slow-peer, corrupt-response,
 // flapping-worker) arm hgserved's -net-chaos transport instead of killing
 // processes: blackholed workers trip circuit breakers and reroute, slow
@@ -35,13 +35,22 @@
 // flapping worker's breaker recovers closed — all with baseline-identical
 // report bytes (DESIGN.md §16).
 //
-// Exit codes: 0 all scenarios hold, 1 a crash-consistency assertion failed,
-// 2 environment/setup failure.
+// The portfolio scenario proves mode=portfolio determinism against its own
+// baseline: identical report bytes across a repeat, a restart on the same
+// checkpoint dir, a daemon with no checkpoint dir, and 1/2/3-worker cluster
+// topologies.
+//
+// Exit codes: 0 all scenarios hold; 1 an assertion failed (the remaining
+// scenarios still run); 2 an unknown scenario name or an environment
+// failure — a daemon that would not boot or a setup request that failed —
+// which stops the run.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,7 +72,7 @@ func main() {
 		seed      = flag.Uint64("seed", 7, "workload seed (reports are a pure function of it)")
 		starts    = flag.Int("starts", 6, "multistart count in the workload")
 		scale     = flag.Float64("scale", 0.2, "benchmark downscale factor for the workload instance")
-		scenarios = flag.String("scenarios", "mid-record,mid-fsync,mid-drain", "comma-separated kill scenarios")
+		scenarios = flag.String("scenarios", "mid-record,mid-fsync,mid-drain", "comma-separated scenario names")
 		workdir   = flag.String("workdir", "", "working directory (default: a fresh temp dir, removed on success)")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "overall harness deadline")
 	)
@@ -91,10 +100,160 @@ type options struct {
 	out       io.Writer
 }
 
-// scenario describes one kill point. Specs count operations on the journal:
-// the header is write/sync #1 on a ".jsonl" path, record k is #(k+1).
+// env is what one scenario runs against: the options, its own name (which
+// also names its directory under workdir), and the workload with its
+// uninterrupted answer.
+type env struct {
+	options
+	name     string
+	req      string // the workload request
+	baseline []byte // the uninterrupted single-node report for req
+}
+
+// scenario is one entry of the table. A run returns nil when every
+// assertion holds, an envError when the harness could not set the scenario
+// up, and any other error when an assertion failed.
 type scenario struct {
 	name string
+	run  func(ctx context.Context, e *env) error
+	// ownBaseline scenarios compute their own reference answer, so the flat
+	// baseline is not needed for them.
+	ownBaseline bool
+}
+
+var scenarioTable = []scenario{
+	// Die halfway through the 3rd record's write: records 1-2 durable,
+	// record 3 torn. Recovery must quarantine the torn tail and resume 2.
+	{name: "mid-record", run: killPoint{spec: "write:.jsonl:4:torn+kill", wantResume: true, wantQuarantine: true}.run},
+	// Die inside the 4th record's fsync: the record's bytes were written
+	// but never acknowledged durable. Recovery takes whatever survived.
+	{name: "mid-fsync", run: killPoint{spec: "sync:.jsonl:5:kill", wantResume: true}.run},
+	// SIGTERM starts the graceful drain (running job interrupted, completed
+	// starts journaled), then SIGKILL lands before the drain finishes. The
+	// latency spec stretches every journal write so the workload is reliably
+	// still in flight at SIGTERM and still draining at SIGKILL.
+	{name: "mid-drain", run: killPoint{spec: "write:.jsonl:p1:latency=120ms", external: true}.run},
+	{name: "cluster-topology", run: clusterTopology},
+	{name: "cluster-worker-kill", run: clusterWorkerKill},
+	{name: "cluster-coord-kill", run: clusterCoordKill},
+	{name: "cluster-degrade", run: clusterDegrade},
+	{name: "net-partition", run: netPartition},
+	{name: "slow-peer", run: slowPeer},
+	{name: "corrupt-response", run: corruptResponse},
+	{name: "flapping-worker", run: flappingWorker},
+	{name: "portfolio", run: portfolioScenario, ownBaseline: true},
+}
+
+// envError marks an environment failure: nothing was proved either way, so
+// the run stops with exit 2.
+type envError struct{ error }
+
+func (e envError) Unwrap() error { return e.error }
+
+func run(ctx context.Context, opt options) int {
+	var todo []scenario
+	for _, name := range opt.scenarios {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(scenarioTable, func(sc scenario) bool { return sc.name == name })
+		if i < 0 {
+			var have []string
+			for _, sc := range scenarioTable {
+				have = append(have, sc.name)
+			}
+			fmt.Fprintf(opt.out, "hgchaos: unknown scenario %q (have %s)\n", name, strings.Join(have, ", "))
+			return 2
+		}
+		todo = append(todo, scenarioTable[i])
+	}
+	if opt.workdir == "" {
+		dir, err := os.MkdirTemp("", "hgchaos-*")
+		if err != nil {
+			fmt.Fprintf(opt.out, "hgchaos: workdir: %v\n", err)
+			return 2
+		}
+		opt.workdir = dir
+		defer os.RemoveAll(dir)
+	}
+	req := fmt.Sprintf(`{"benchmark":"ibm01","scale":%g,"engine":"flat","starts":%d,"seed":%d}`,
+		opt.scale, opt.starts, opt.seed)
+
+	var baseline []byte
+	if slices.ContainsFunc(todo, func(sc scenario) bool { return !sc.ownBaseline }) {
+		var err error
+		if baseline, err = baselineReport(ctx, &env{options: opt, name: "baseline", req: req}); err != nil {
+			fmt.Fprintf(opt.out, "hgchaos: baseline: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(opt.out, "hgchaos: baseline report: %d bytes (seed %d, %d starts)\n",
+			len(baseline), opt.seed, opt.starts)
+	}
+
+	failed := 0
+	for _, sc := range todo {
+		err := sc.run(ctx, &env{options: opt, name: sc.name, req: req, baseline: baseline})
+		if err == nil {
+			fmt.Fprintf(opt.out, "hgchaos: %-10s PASS\n", sc.name)
+			continue
+		}
+		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", sc.name, err)
+		if errors.As(err, new(envError)) {
+			return 2
+		}
+		fmt.Fprintf(opt.out, "hgchaos: %-10s FAIL\n", sc.name)
+		failed++
+	}
+	if failed > 0 {
+		fmt.Fprintf(opt.out, "hgchaos: %d scenario(s) failed\n", failed)
+		return 1
+	}
+	fmt.Fprintf(opt.out, "hgchaos: all scenarios hold: recovered reports are byte-identical\n")
+	return 0
+}
+
+// baselineReport computes the uninterrupted reference answer.
+func baselineReport(ctx context.Context, e *env) ([]byte, error) {
+	d, err := startDaemon(ctx, e, "uninterrupted")
+	if err != nil {
+		return nil, err
+	}
+	defer d.stop()
+	body, _, err := submitSync(ctx, d.addr, e.req, e.seed)
+	if err != nil {
+		return nil, fmt.Errorf("request: %w", err)
+	}
+	return body, nil
+}
+
+// logf prints one progress line under the scenario's name.
+func (e *env) logf(format string, args ...any) {
+	fmt.Fprintf(e.out, "hgchaos: %s: %s\n", e.name, fmt.Sprintf(format, args...))
+}
+
+// path names a file under the scenario's own directory.
+func (e *env) path(elem ...string) string {
+	return filepath.Join(append([]string{e.workdir, e.name}, elem...)...)
+}
+
+// expect submits e.req to addr and requires e.baseline back byte for byte,
+// served with the given X-Hgserved-Cache disposition ("" accepts any). what
+// names the report in a failure.
+func (e *env) expect(ctx context.Context, addr, what, disposition string) (served, error) {
+	body, sv, err := submitSync(ctx, addr, e.req, e.seed)
+	if err != nil {
+		return sv, fmt.Errorf("%s: %w", what, err)
+	}
+	if !bytes.Equal(body, e.baseline) {
+		return sv, fmt.Errorf("%s differs from baseline (%d vs %d bytes)", what, len(body), len(e.baseline))
+	}
+	if disposition != "" && sv.cache != disposition {
+		return sv, fmt.Errorf("%s served as %q, want %s", what, sv.cache, disposition)
+	}
+	return sv, nil
+}
+
+// killPoint is a kill scenario. Specs count operations on the journal: the
+// header is write/sync #1 on a ".jsonl" path, record k is #(k+1).
+type killPoint struct {
 	// spec arms hgserved's -chaos fault injection.
 	spec string
 	// external kills from outside: SIGTERM to start the drain, then SIGKILL
@@ -108,207 +267,91 @@ type scenario struct {
 	wantQuarantine bool
 }
 
-var scenarioByName = map[string]scenario{
-	// Die halfway through the 3rd record's write: records 1-2 durable,
-	// record 3 torn. Recovery must quarantine the torn tail and resume 2.
-	"mid-record": {name: "mid-record", spec: "write:.jsonl:4:torn+kill", wantResume: true, wantQuarantine: true},
-	// Die inside the 4th record's fsync: the record's bytes were written
-	// but never acknowledged durable. Recovery takes whatever survived.
-	"mid-fsync": {name: "mid-fsync", spec: "sync:.jsonl:5:kill", wantResume: true},
-	// SIGTERM starts the graceful drain (running job interrupted, completed
-	// starts journaled), then SIGKILL lands before the drain finishes. The
-	// latency spec stretches every journal write so the workload is reliably
-	// still in flight at SIGTERM and still draining at SIGKILL.
-	"mid-drain": {name: "mid-drain", spec: "write:.jsonl:p1:latency=120ms", external: true},
-}
+// drainKillDelays are the SIGTERM delays an external kill tries in turn.
+var drainKillDelays = []time.Duration{250 * time.Millisecond, 180 * time.Millisecond,
+	310 * time.Millisecond, 210 * time.Millisecond, 280 * time.Millisecond}
 
-func run(ctx context.Context, opt options) int {
-	if opt.workdir == "" {
-		dir, err := os.MkdirTemp("", "hgchaos-*")
-		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: workdir: %v\n", err)
-			return 2
-		}
-		opt.workdir = dir
-		defer os.RemoveAll(dir)
-	}
-	req := fmt.Sprintf(`{"benchmark":"ibm01","scale":%g,"engine":"flat","starts":%d,"seed":%d}`,
-		opt.scale, opt.starts, opt.seed)
-
-	baseline, code := baselineReport(ctx, opt, req)
-	if baseline == nil {
-		return code
-	}
-	fmt.Fprintf(opt.out, "hgchaos: baseline report: %d bytes (seed %d, %d starts)\n",
-		len(baseline), opt.seed, opt.starts)
-
-	failed := 0
-	for _, name := range opt.scenarios {
-		name = strings.TrimSpace(name)
-		var rc int
-		if strings.HasPrefix(name, "cluster-") {
-			rc = runClusterScenario(ctx, opt, name, req, baseline)
-		} else if slices.Contains(netScenarioNames, name) {
-			rc = runNetScenario(ctx, opt, name, req, baseline)
-		} else if name == "portfolio" {
-			rc = runPortfolioScenario(ctx, opt)
-		} else {
-			sc, ok := scenarioByName[name]
-			if !ok {
-				fmt.Fprintf(opt.out, "hgchaos: unknown scenario %q\n", name)
-				return 2
-			}
-			rc = runScenario(ctx, opt, sc, req, baseline)
-		}
-		switch rc {
-		case 0:
-			fmt.Fprintf(opt.out, "hgchaos: %-10s PASS\n", name)
-		case 1:
-			fmt.Fprintf(opt.out, "hgchaos: %-10s FAIL\n", name)
-			failed++
-		default:
-			return rc
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(opt.out, "hgchaos: %d scenario(s) failed\n", failed)
-		return 1
-	}
-	fmt.Fprintf(opt.out, "hgchaos: all scenarios hold: recovered reports are byte-identical\n")
-	return 0
-}
-
-// baselineReport computes the uninterrupted reference answer.
-func baselineReport(ctx context.Context, opt options, req string) ([]byte, int) {
-	d, err := startDaemon(ctx, opt, "baseline", nil)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: baseline daemon: %v\n", err)
-		return nil, 2
-	}
-	defer d.stop()
-	body, _, err := submitSync(ctx, d.addr, req, opt.seed)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: baseline request: %v\n", err)
-		return nil, 2
-	}
-	return body, 0
-}
-
-// runScenario executes one kill/restart/verify cycle. Returns 0 on pass,
-// 1 on assertion failure, 2 on environment failure.
-func runScenario(ctx context.Context, opt options, sc scenario, req string, baseline []byte) int {
-	cpDir := filepath.Join(opt.workdir, sc.name, "checkpoints")
+// run executes one kill/restart/verify cycle.
+func (k killPoint) run(ctx context.Context, e *env) error {
+	cpDir := e.path("checkpoints")
 
 	// Phase 1: boot with the kill armed, submit, and watch the daemon die.
 	// Spec-armed kills are deterministic (the process kills itself on the
 	// Nth journal operation). External kills race the drain by construction;
 	// if the daemon wins and exits cleanly there is nothing to verify, so
 	// re-arm with a different SIGTERM delay, bounded.
-	termDelays := []time.Duration{250 * time.Millisecond}
-	if sc.external {
-		termDelays = []time.Duration{250 * time.Millisecond, 180 * time.Millisecond,
-			310 * time.Millisecond, 210 * time.Millisecond, 280 * time.Millisecond}
+	attempts := 1
+	if k.external {
+		attempts = len(drainKillDelays)
 	}
-	killed := false
-	for attempt, termDelay := range termDelays {
+	for attempt := 0; ; attempt++ {
 		if err := os.RemoveAll(cpDir); err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", sc.name, err)
-			return 2
+			return envError{err}
 		}
-		if err := os.MkdirAll(cpDir, 0o755); err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", sc.name, err)
-			return 2
-		}
-		var extra []string
-		if sc.spec != "" {
-			extra = []string{"-chaos", sc.spec}
-		}
-		d, err := startDaemon(ctx, opt, fmt.Sprintf("%s-victim-%d", sc.name, attempt),
-			append(extra, "-checkpoint-dir", cpDir))
+		d, err := startDaemon(ctx, e, fmt.Sprintf("victim-%d", attempt), "-chaos", k.spec, "-checkpoint-dir", cpDir)
 		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: victim daemon: %v\n", sc.name, err)
-			return 2
+			return fmt.Errorf("victim daemon: %w", err)
 		}
 		// Async submit: the victim may die before a sync response arrives.
-		if _, err := submitAsyncID(ctx, d.addr, req); err != nil && !sc.external {
+		if _, err := submitAsyncID(ctx, d.addr, e.req); err != nil && !k.external {
 			// A self-killing spec only fires on a journal write, which
 			// happens after the 202 is sent; a submit error there is real.
-			fmt.Fprintf(opt.out, "hgchaos: %s: submit: %v\n", sc.name, err)
 			d.stop()
-			return 2
+			return err
 		}
-		if sc.external {
+		if k.external {
 			// Let the run get going, SIGTERM to start the drain
 			// (interrupting the job and journaling its completed starts),
 			// then SIGKILL before the drain can finish. After SIGTERM the
 			// drain lasts only the remainder of the in-flight delayed write,
 			// so the kill must follow fast; when SIGTERM lands in the narrow
 			// idle gap between writes the drain wins and we re-arm.
-			time.Sleep(termDelay)
+			time.Sleep(drainKillDelays[attempt])
 			_ = d.cmd.Process.Signal(syscall.SIGTERM)
 			time.Sleep(25 * time.Millisecond)
 			_ = d.cmd.Process.Kill()
 		}
 		err = d.waitKilled(ctx)
 		if err == nil {
-			killed = true
 			break
 		}
-		if sc.external && attempt < len(termDelays)-1 {
-			fmt.Fprintf(opt.out, "hgchaos: %s: drain outran the kill (%v); re-arming\n", sc.name, err)
-			continue
+		if attempt == attempts-1 {
+			return err
 		}
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", sc.name, err)
-		return 1
-	}
-	if !killed {
-		return 1
+		e.logf("drain outran the kill (%v); re-arming", err)
 	}
 	journals, _ := filepath.Glob(filepath.Join(cpDir, "*.jsonl"))
 	if len(journals) == 0 {
-		fmt.Fprintf(opt.out, "hgchaos: %s: no journal survived the kill\n", sc.name)
-		return 1
+		return errors.New("no journal survived the kill")
 	}
 
-	// Phase 2: restart clean on the same checkpoint dir and resubmit.
-	d2, err := startDaemon(ctx, opt, sc.name+"-recovery", []string{"-checkpoint-dir", cpDir})
+	// Phase 2: restart clean on the same checkpoint dir and resubmit. The
+	// core guarantee: recovery reproduces the uninterrupted answer.
+	d2, err := startDaemon(ctx, e, "recovery", "-checkpoint-dir", cpDir)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: recovery daemon: %v\n", sc.name, err)
-		return 2
+		return fmt.Errorf("recovery daemon: %w", err)
 	}
 	defer d2.stop()
-	body, sv, err := submitSync(ctx, d2.addr, req, opt.seed)
+	sv, err := e.expect(ctx, d2.addr, "recovered report", "")
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: recovery request: %v\n", sc.name, err)
-		return 1
+		return err
 	}
-
-	// The core guarantee: recovery reproduces the uninterrupted answer.
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: recovered report differs from baseline (%d vs %d bytes)\n",
-			sc.name, len(body), len(baseline))
-		return 1
-	}
-	if sc.wantResume {
+	if k.wantResume {
 		st, err := jobStatus(ctx, d2.addr, sv.job)
 		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: job status: %v\n", sc.name, err)
-			return 1
+			return fmt.Errorf("job status: %w", err)
 		}
 		if st.Resumed < 1 {
-			fmt.Fprintf(opt.out, "hgchaos: %s: recovery recomputed everything (resumed=0); the journal did its job in vain\n", sc.name)
-			return 1
+			return errors.New("recovery recomputed everything (resumed=0); the journal did its job in vain")
 		}
-		fmt.Fprintf(opt.out, "hgchaos: %s: resumed %d journaled start(s)\n", sc.name, st.Resumed)
+		e.logf("resumed %d journaled start(s)", st.Resumed)
 	}
-	if sc.wantQuarantine {
-		side, _ := filepath.Glob(filepath.Join(cpDir, "*.jsonl.quarantine"))
-		if len(side) == 0 {
-			fmt.Fprintf(opt.out, "hgchaos: %s: torn record left no quarantine sidecar\n", sc.name)
-			return 1
+	if k.wantQuarantine {
+		if side, _ := filepath.Glob(filepath.Join(cpDir, "*.jsonl.quarantine")); len(side) == 0 {
+			return errors.New("torn record left no quarantine sidecar")
 		}
 	}
-	return 0
+	return nil
 }
 
 // daemon is one hgserved process under harness control.
@@ -318,10 +361,16 @@ type daemon struct {
 	log  *os.File
 }
 
-// startDaemon boots hgserved on an ephemeral port and waits (with seeded
-// jittered backoff) for the addr-file handshake.
-func startDaemon(ctx context.Context, opt options, name string, extraArgs []string) (*daemon, error) {
-	dir := filepath.Join(opt.workdir, name)
+// startDaemon boots hgserved on an ephemeral port (args may override it)
+// under e.path(tag) and waits, with seeded jittered backoff, for the
+// addr-file handshake. Its errors are environment failures.
+func startDaemon(ctx context.Context, e *env, tag string, args ...string) (_ *daemon, err error) {
+	defer func() {
+		if err != nil {
+			err = envError{err}
+		}
+	}()
+	dir := e.path(tag)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -330,23 +379,22 @@ func startDaemon(ctx context.Context, opt options, name string, extraArgs []stri
 	if err != nil {
 		return nil, err
 	}
-	args := append([]string{
+	cmd := exec.Command(e.bin, append([]string{
 		"-addr", "127.0.0.1:0",
 		"-addr-file", addrFile,
 		"-workers", "1",
 		"-start-workers", "1",
 		"-stuck-after", "0",
-	}, extraArgs...)
-	cmd := exec.Command(opt.bin, args...)
+	}, args...)...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
 		logf.Close()
-		return nil, fmt.Errorf("start %s: %w", opt.bin, err)
+		return nil, fmt.Errorf("start %s: %w", e.bin, err)
 	}
 	d := &daemon{cmd: cmd, log: logf}
 
-	retry := chaos.Retry{MaxAttempts: 50, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: opt.seed}
+	retry := chaos.Retry{MaxAttempts: 50, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: e.seed}
 	err = retry.Do(ctx, func() (time.Duration, bool, error) {
 		b, err := os.ReadFile(addrFile)
 		if err != nil || len(bytes.TrimSpace(b)) == 0 {
@@ -357,12 +405,13 @@ func startDaemon(ctx context.Context, opt options, name string, extraArgs []stri
 	})
 	if err != nil {
 		d.stop()
-		return nil, fmt.Errorf("daemon %s never published its address: %w", name, err)
+		return nil, fmt.Errorf("daemon %s never published its address: %w", tag, err)
 	}
 	return d, nil
 }
 
-// stop terminates the daemon gracefully (best-effort) and reaps it.
+// stop terminates the daemon gracefully (best-effort) and reaps it; it is a
+// no-op on a daemon already reaped.
 func (d *daemon) stop() {
 	if d.cmd.ProcessState == nil {
 		_ = d.cmd.Process.Signal(syscall.SIGTERM)
@@ -396,6 +445,21 @@ func (d *daemon) waitKilled(ctx context.Context) error {
 		return fmt.Errorf("daemon exited %q, want death by SIGKILL", d.cmd.ProcessState)
 	}
 	return nil
+}
+
+// poll calls done every 10ms until it reports true or an error, or ctx
+// ends.
+func poll(ctx context.Context, done func() (bool, error)) error {
+	for {
+		if ok, err := done(); ok || err != nil {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }
 
 // served is what a sync response's headers say about its job: the job id
@@ -435,6 +499,36 @@ func submitSync(ctx context.Context, addr, req string, seed uint64) (body []byte
 	return body, sv, err
 }
 
+// submitAsyncID fires the workload asynchronously and returns the job id.
+// Its errors are environment failures: the scenario never got going.
+func submitAsyncID(ctx context.Context, addr, req string) (_ string, err error) {
+	defer func() {
+		if err != nil {
+			err = envError{fmt.Errorf("async submit: %w", err)}
+		}
+	}()
+	async := strings.TrimSuffix(strings.TrimSpace(req), "}") + `,"async":true}`
+	resp, err := httpPost(ctx, "http://"+addr+"/v1/partition", async)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return "", fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	var doc struct {
+		Job string `json:"job"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil || doc.Job == "" {
+		return "", fmt.Errorf("no job id in %s", bytes.TrimSpace(b))
+	}
+	return doc.Job, nil
+}
+
 func httpPost(ctx context.Context, url, body string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
@@ -442,4 +536,33 @@ func httpPost(ctx context.Context, url, body string) (*http.Response, error) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	return http.DefaultClient.Do(req)
+}
+
+// get fetches url and returns its body, requiring 200 OK.
+func get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(b))
+	}
+	return b, nil
+}
+
+func getJSON(ctx context.Context, url string, into any) error {
+	b, err := get(ctx, url)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, into)
 }

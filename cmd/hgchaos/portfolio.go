@@ -7,120 +7,62 @@ package main
 // 1/2/3-worker cluster topologies.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
-// runPortfolioScenario executes the portfolio determinism proof. It computes
-// its own baseline (the shared flat-engine baseline does not exercise the
-// racing path). Returns 0 pass, 1 assertion failure, 2 environment failure.
-func runPortfolioScenario(ctx context.Context, opt options) int {
-	const name = "portfolio"
-	preq := fmt.Sprintf(`{"benchmark":"ibm01","scale":%g,"mode":"portfolio","starts":%d,"seed":%d}`,
-		opt.scale, opt.starts, opt.seed)
+// portfolioScenario executes the portfolio determinism proof. It computes
+// its own baseline: the shared flat-engine baseline does not exercise the
+// racing path.
+func portfolioScenario(ctx context.Context, e *env) error {
+	e.req = fmt.Sprintf(`{"benchmark":"ibm01","scale":%g,"mode":"portfolio","starts":%d,"seed":%d}`,
+		e.scale, e.starts, e.seed)
 
 	// Phase 1: cold daemon with a checkpoint dir. The first answer is the
 	// scenario baseline; the repeat must be a byte-identical cache hit.
-	cpDir := filepath.Join(opt.workdir, name, "checkpoints")
-	if err := os.MkdirAll(cpDir, 0o755); err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-		return 2
-	}
-	d1, err := startDaemon(ctx, opt, name+"-cold", []string{"-checkpoint-dir", cpDir})
+	cpDir := e.path("checkpoints")
+	d1, err := startDaemon(ctx, e, "cold", "-checkpoint-dir", cpDir)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: cold daemon: %v\n", name, err)
-		return 2
+		return fmt.Errorf("cold daemon: %w", err)
 	}
-	baseline, _, err := submitSync(ctx, d1.addr, preq, opt.seed)
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: cold request: %v\n", name, err)
-		d1.stop()
-		return 2
+	defer d1.stop()
+	if e.baseline, _, err = submitSync(ctx, d1.addr, e.req, e.seed); err != nil {
+		return envError{fmt.Errorf("cold request: %w", err)}
 	}
-	repeat, sv, err := submitSync(ctx, d1.addr, preq, opt.seed)
-	if err != nil || sv.cache != "hit" || !bytes.Equal(repeat, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: repeat not a byte-identical cache hit (disposition %q, err %v)\n",
-			name, sv.cache, err)
-		d1.stop()
-		return 1
+	if _, err := e.expect(ctx, d1.addr, "repeat report", "hit"); err != nil {
+		return err
 	}
-	d1.stop()
-	fmt.Fprintf(opt.out, "hgchaos: %s: baseline report: %d bytes, repeat was a byte-identical cache hit\n",
-		name, len(baseline))
+	d1.stop() // before the restart opens the same checkpoint dir
+	e.logf("baseline report: %d bytes, repeat was a byte-identical cache hit", len(e.baseline))
 
 	// Phase 2: fresh daemon on the same checkpoint dir. The result cache is
 	// cold, so the whole race+commit recomputes and must not move a byte:
 	// a restart that changed selection would poison every cache keyed on
 	// these bytes.
-	d2, err := startDaemon(ctx, opt, name+"-restart", []string{"-checkpoint-dir", cpDir})
+	d2, err := startDaemon(ctx, e, "restart", "-checkpoint-dir", cpDir)
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restarted daemon: %v\n", name, err)
-		return 2
+		return fmt.Errorf("restarted daemon: %w", err)
 	}
-	body, sv, err := submitSync(ctx, d2.addr, preq, opt.seed)
+	defer d2.stop()
+	if _, err := e.expect(ctx, d2.addr, "restarted report", "miss"); err != nil {
+		return err
+	}
 	d2.stop()
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restarted request: %v\n", name, err)
-		return 1
-	}
-	if sv.cache != "miss" {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restarted disposition %q, want miss (cold cache)\n", name, sv.cache)
-		return 1
-	}
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: restarted report differs from baseline (%d vs %d bytes)\n",
-			name, len(body), len(baseline))
-		return 1
-	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: restart recomputed byte-identical bytes\n", name)
+	e.logf("restart recomputed byte-identical bytes")
 
 	// Phase 3: a daemon with no checkpoint dir at all.
-	d3, err := startDaemon(ctx, opt, name+"-nocheckpoint", nil)
+	d3, err := startDaemon(ctx, e, "nocheckpoint")
 	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint daemon: %v\n", name, err)
-		return 2
+		return fmt.Errorf("no-checkpoint daemon: %w", err)
 	}
-	body, _, err = submitSync(ctx, d3.addr, preq, opt.seed)
+	defer d3.stop()
+	if _, err := e.expect(ctx, d3.addr, "no-checkpoint report", ""); err != nil {
+		return err
+	}
 	d3.stop()
-	if err != nil {
-		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint request: %v\n", name, err)
-		return 1
-	}
-	if !bytes.Equal(body, baseline) {
-		fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint report differs from baseline (%d vs %d bytes)\n",
-			name, len(body), len(baseline))
-		return 1
-	}
-	fmt.Fprintf(opt.out, "hgchaos: %s: no-checkpoint daemon byte-identical\n", name)
+	e.logf("no-checkpoint daemon byte-identical")
 
 	// Phase 4: 1-, 2- and 3-worker clusters. Wherever the job lands, the
 	// bytes must match the single-node baseline.
-	for n := 1; n <= 3; n++ {
-		clusterDir := filepath.Join(opt.workdir, fmt.Sprintf("%s-cluster-%d", name, n), "checkpoints")
-		if err := os.MkdirAll(clusterDir, 0o755); err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %v\n", name, err)
-			return 2
-		}
-		c, err := startCluster(ctx, opt, fmt.Sprintf("%s-cluster-%d", name, n), n, clusterDir, nil)
-		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %d workers: %v\n", name, n, err)
-			return 2
-		}
-		body, _, err := submitSync(ctx, c.coord.addr, preq, opt.seed)
-		c.stopAll()
-		if err != nil {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %d workers: %v\n", name, n, err)
-			return 1
-		}
-		if !bytes.Equal(body, baseline) {
-			fmt.Fprintf(opt.out, "hgchaos: %s: %d-worker report differs from baseline (%d vs %d bytes)\n",
-				name, n, len(body), len(baseline))
-			return 1
-		}
-		fmt.Fprintf(opt.out, "hgchaos: %s: %d worker(s) byte-identical\n", name, n)
-	}
-	return 0
+	return acrossTopologies(ctx, e, false)
 }

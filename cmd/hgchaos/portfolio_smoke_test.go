@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -20,11 +19,7 @@ func TestPortfolioChaosSmoke(t *testing.T) {
 		t.Skip("portfolio smoke boots real daemon fleets; skipped in -short")
 	}
 	workdir := t.TempDir()
-	bin := filepath.Join(workdir, "hgserved")
-	build := exec.Command("go", "build", "-race", "-o", bin, "hgpart/cmd/hgserved")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build hgserved -race: %v\n%s", err, out)
-	}
+	bin := hgservedBin(t, true)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()

@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -20,11 +19,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Skip("chaos smoke boots real daemons; skipped in -short")
 	}
 	workdir := t.TempDir()
-	bin := filepath.Join(workdir, "hgserved")
-	build := exec.Command("go", "build", "-o", bin, "hgpart/cmd/hgserved")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build hgserved: %v\n%s", err, out)
-	}
+	bin := hgservedBin(t, false)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()

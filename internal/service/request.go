@@ -115,8 +115,8 @@ func (r *PartitionRequest) normalize() {
 // body all name the configuration that ran: mode=portfolio reads neither
 // engine nor vcycles (the winning arm brings its own), and flat and clip
 // never V-cycle. It runs after validation, so an out-of-range ignored field
-// is still refused, and on /v1/partition only: /v1/trace reads engine under
-// any mode.
+// is still refused, and on /v1/partition only: /v1/trace refuses mode and
+// traces the engine it names.
 func (r *PartitionRequest) canonicalize() {
 	if r.Mode == "portfolio" {
 		r.Engine = "ml"

@@ -553,3 +553,36 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("ml trace: %d %s", resp3.StatusCode, body3)
 	}
 }
+
+// A traced start runs inline with the named engine and nothing else, so a
+// field it cannot honour is refused by name instead of silently dropped;
+// starts and vcycles are defaulted before the gate and still accepted.
+func TestTraceRefusesUnsupportedFields(t *testing.T) {
+	_, hs := testServer(t, nil)
+	const base = `{"benchmark":"ibm01","scale":0.1,"engine":"clip","seed":11,`
+	cases := []struct {
+		field, value string
+		want         int
+	}{
+		{"mode", `"portfolio"`, http.StatusBadRequest},
+		{"refine_threads", `2`, http.StatusBadRequest},
+		{"wall_budget_ms", `1000`, http.StatusBadRequest},
+		{"work_budget", `100000`, http.StatusBadRequest},
+		{"workers", `2`, http.StatusBadRequest},
+		{"priority", `3`, http.StatusBadRequest},
+		{"async", `true`, http.StatusBadRequest},
+		{"starts", `1`, http.StatusOK},
+		{"vcycles", `5`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			resp, body := postTrace(t, hs, base+`"`+tc.field+`":`+tc.value+`}`)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(string(body), `\"`+tc.field+`\"`) {
+				t.Fatalf("refusal does not name %q: %s", tc.field, body)
+			}
+		})
+	}
+}

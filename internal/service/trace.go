@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"hgpart/internal/core"
@@ -15,7 +16,8 @@ import (
 // and hgpart exposes the same evidence via -trace. POST /v1/trace runs one
 // traced flat/clip start and returns the per-pass cut curve summaries —
 // deterministic for a given (instance, engine, seed), like every other
-// answer the daemon gives.
+// answer the daemon gives. A field the single inline start cannot honour
+// (mode, budgets, polish, queueing) is refused, never silently dropped.
 
 // TracePass is one FM pass of a traced run.
 type TracePass struct {
@@ -42,6 +44,30 @@ type TraceReport struct {
 	ShortestPassMoves int64       `json:"shortest_pass_moves"`
 }
 
+// traceUnsupported names the first field set on req that a traced start
+// cannot honour, or "" when there is none. starts and vcycles are not
+// listed: they are defaulted before any gate sees them, so an explicit
+// value cannot be told from an absent one.
+func traceUnsupported(req *PartitionRequest) string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"mode", req.Mode != ""},
+		{"refine_threads", req.RefineThreads != 0},
+		{"wall_budget_ms", req.WallBudgetMS != 0},
+		{"work_budget", req.WorkBudget != 0},
+		{"workers", req.Workers != 0},
+		{"priority", req.Priority != 0},
+		{"async", req.Async},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // handleTrace runs a single traced start inline (one FM run, no queueing)
 // and returns the pass summaries.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -56,6 +82,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	req, h, instName, ok := s.admitRequest(w, raw, func(req *PartitionRequest) bool {
 		if req.Engine != "flat" && req.Engine != "clip" {
 			errorBody(w, http.StatusBadRequest, "trace requires engine flat or clip (pass tracers exist for the flat FM engines)")
+			return false
+		}
+		if field := traceUnsupported(req); field != "" {
+			errorBody(w, http.StatusBadRequest, fmt.Sprintf("trace does not support %q: it runs one start of the named engine inline, unqueued and unbudgeted", field))
 			return false
 		}
 		return true
