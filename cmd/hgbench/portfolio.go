@@ -50,7 +50,7 @@ func gateSuite() ([]gen.Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, gen.Scaled(s, c.scale))
+		specs = append(specs, gen.Instance(s, c.scale, 0))
 	}
 	for _, c := range []struct {
 		name  string
@@ -60,10 +60,7 @@ func gateSuite() ([]gen.Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if c.scale < 1 {
-			s = gen.Scaled(s, c.scale)
-		}
-		specs = append(specs, s)
+		specs = append(specs, gen.Instance(s, c.scale, 0))
 	}
 	return specs, nil
 }

@@ -103,7 +103,7 @@ func (o Options) withDefaults() Options {
 
 // instance materializes the scaled synthetic stand-in for ISPD98 instance i.
 func (o Options) instance(i int) *hypergraph.Hypergraph {
-	spec := gen.Scaled(gen.MustIBMProfile(i), o.Scale)
+	spec := gen.Instance(gen.MustIBMProfile(i), o.Scale, 0)
 	return gen.MustGenerate(spec)
 }
 

@@ -43,7 +43,7 @@ func TableCorking(o Options) *report.Table {
 	root := rng.New(o.Seed + 500)
 	for _, inst := range []int{1, 2} {
 		for _, unit := range []bool{false, true} {
-			spec := gen.Scaled(gen.MustIBMProfile(inst), o.Scale)
+			spec := gen.Instance(gen.MustIBMProfile(inst), o.Scale, 0)
 			spec.UnitArea = unit
 			areas := "actual"
 			if unit {
@@ -237,22 +237,17 @@ func TableBenchmarkEra(o Options) *report.Table {
 		h     *hypergraph.Hypergraph
 	}
 	var instances []inst
-	// MCNC instances are small; run them at double scale, clamped to the
-	// generator's (0,1] domain so a user-chosen -scale above 0.5 cannot
-	// panic deep inside gen.Scaled.
-	mcncScale := o.Scale * 2
-	if mcncScale > 1 {
-		mcncScale = 1
-	}
+	// MCNC instances are small; run them at double scale (gen.Instance
+	// keeps a scale of 1 or more at full size).
 	for _, name := range []string{"prim2", "avqsmall"} {
 		spec, err := gen.MCNCProfile(name)
 		if err != nil {
 			panic(err)
 		}
-		instances = append(instances, inst{"MCNC", gen.MustGenerate(gen.Scaled(spec, mcncScale))})
+		instances = append(instances, inst{"MCNC", gen.MustGenerate(gen.Instance(spec, o.Scale*2, 0))})
 	}
 	for _, id := range []int{1, 2} {
-		instances = append(instances, inst{"ISPD98", gen.MustGenerate(gen.Scaled(gen.MustIBMProfile(id), o.Scale))})
+		instances = append(instances, inst{"ISPD98", gen.MustGenerate(gen.Instance(gen.MustIBMProfile(id), o.Scale, 0))})
 	}
 
 	root := rng.New(o.Seed + 900)

@@ -149,7 +149,7 @@ func FigureRanking(o Options) *report.Table {
 	samplesBySize := map[int]map[string][]eval.Outcome{}
 	var budgets []float64
 	for _, f := range sizes {
-		spec := gen.Scaled(gen.MustIBMProfile(1), o.Scale*f)
+		spec := gen.Instance(gen.MustIBMProfile(1), o.Scale*f, 0)
 		h := gen.MustGenerate(spec)
 		heuristics := figureHeuristics(h, 0.02, root)
 		bySz := map[string][]eval.Outcome{}
