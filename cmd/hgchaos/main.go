@@ -150,7 +150,7 @@ type envError struct{ error }
 
 func (e envError) Unwrap() error { return e.error }
 
-func run(ctx context.Context, opt options) int {
+func run(ctx context.Context, opt options) (code int) {
 	var todo []scenario
 	for _, name := range opt.scenarios {
 		name = strings.TrimSpace(name)
@@ -172,7 +172,14 @@ func run(ctx context.Context, opt options) int {
 			return 2
 		}
 		opt.workdir = dir
-		defer os.RemoveAll(dir)
+		defer func() {
+			if code == 0 {
+				os.RemoveAll(dir)
+				return
+			}
+			// The daemons' logs and journals are the evidence of a failed run.
+			fmt.Fprintf(opt.out, "hgchaos: workdir kept: %s\n", dir)
+		}()
 	}
 	req := fmt.Sprintf(`{"benchmark":"ibm01","scale":%g,"engine":"flat","starts":%d,"seed":%d}`,
 		opt.scale, opt.starts, opt.seed)

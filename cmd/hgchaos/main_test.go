@@ -87,3 +87,33 @@ func TestUnknownScenarioFailsFirst(t *testing.T) {
 		t.Fatalf("a daemon boot was attempted before the names were checked:\n%s", out.String())
 	}
 }
+
+// A run that fails keeps its temporary workdir, daemon logs included, and
+// names it; only a run that exits 0 removes it.
+func TestFailedRunKeepsWorkdir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var out bytes.Buffer
+	rc := run(context.Background(), options{
+		bin:       filepath.Join(tmp, "no-such-hgserved"),
+		seed:      7,
+		starts:    2,
+		scale:     0.05,
+		scenarios: []string{"mid-record"},
+		out:       &out,
+	})
+	if rc == 0 {
+		t.Fatalf("run against a missing binary exited 0:\n%s", out.String())
+	}
+	_, dir, ok := strings.Cut(out.String(), "hgchaos: workdir kept: ")
+	if !ok {
+		t.Fatalf("output does not name the kept workdir:\n%s", out.String())
+	}
+	dir = strings.TrimSpace(dir)
+	if filepath.Dir(dir) != tmp {
+		t.Fatalf("kept workdir %q is not a fresh directory under %q", dir, tmp)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("kept workdir %q is gone: %v", dir, err)
+	}
+}

@@ -9,6 +9,7 @@
 //	hgeval -figure pareto        # Figure B (non-dominated frontier)
 //	hgeval -figure ranking       # Figure C (speed-dependent ranking)
 //	hgeval -all                  # every table and figure
+//	hgeval -extra idle -scale 1  # early-exit limit frontier, 2% and 10% (not in -all)
 //
 // Add -csv to emit CSV instead of an aligned text table.
 package main
@@ -27,7 +28,7 @@ import (
 func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate paper table 1-5")
-		extra    = flag.String("extra", "", "extra experiment: corking, insertion, significance, regimes, era")
+		extra    = flag.String("extra", "", "extra experiment: corking, insertion, significance, regimes, era, idle")
 		figure   = flag.String("figure", "", "regenerate methodology figure: bsf, pareto, ranking")
 		all      = flag.Bool("all", false, "regenerate every table and figure")
 		full     = flag.Bool("full", false, "use the paper's full protocol (hours of CPU)")
@@ -132,8 +133,11 @@ func main() {
 		run("extra-regimes", experiments.TableRegimes)
 	case "era":
 		run("extra-era", experiments.TableBenchmarkEra)
+	case "idle":
+		run("extra-idle-2", func(o experiments.Options) *report.Table { return experiments.TableIdleFrontier(o, 0.02) })
+		run("extra-idle-10", func(o experiments.Options) *report.Table { return experiments.TableIdleFrontier(o, 0.10) })
 	default:
-		fatal(fmt.Errorf("no extra %q (valid: corking, insertion, significance, regimes)", *extra))
+		fatal(fmt.Errorf("no extra %q (valid: corking, insertion, significance, regimes, era, idle)", *extra))
 	}
 
 	switch *figure {

@@ -221,6 +221,9 @@ func TestImplEquivalence(t *testing.T) {
 	}
 	cases := [][]string{
 		{"-engine", "ml", "-ibm", "1", "-scale", "0.1", "-starts", "6", "-seed", "17", "-q"},
+		// 3826 cells: the finest levels are large enough for the multilevel
+		// refiner's idle-move limit to end passes.
+		{"-engine", "ml", "-ibm", "1", "-scale", "0.3", "-starts", "2", "-seed", "17", "-q"},
 		{"-engine", "flat", "-ibm", "1", "-scale", "0.1", "-starts", "6", "-seed", "17", "-q"},
 		{"-engine", "clip", "-ibm", "1", "-scale", "0.1", "-starts", "6", "-seed", "17", "-q"},
 		{"-k", "4", "-krefine", "-ibm", "1", "-scale", "0.1", "-starts", "2", "-seed", "19", "-q"},

@@ -25,7 +25,9 @@
 //     exceeds the balance slack are never inserted into the gain container
 //     (benefits all FM variants, essentially zero overhead);
 //   - LookPastIllegal: scan beyond an illegal bucket head (the paper finds
-//     this too slow and harmful; provided for the ablation bench).
+//     this too slow and harmful; provided for the ablation bench);
+//   - MaxIdleMoves: end a pass a fixed number of moves past its best prefix
+//     (the early exit multilevel refinement uses; off in flat FM).
 package core
 
 import "fmt"
@@ -168,6 +170,15 @@ type Config struct {
 	// MaxPasses caps the number of passes; 0 means iterate until a pass
 	// yields no improvement.
 	MaxPasses int
+
+	// MaxIdleMoves ends a pass early: once a legal best prefix exists, the
+	// pass stops as soon as more than MaxIdleMoves moves have been made
+	// since that prefix, and rolls back to it as usual. Such a pass is not a
+	// stuck termination. Zero or negative keeps the paper's full pass (every
+	// movable vertex moves once); multilevel FM refinement defaults it to
+	// 2000 (multilevel.DefaultMaxIdleMoves). A pass over at most
+	// MaxIdleMoves movable vertices never stops early.
+	MaxIdleMoves int
 
 	// LookaheadDepth enables Krishnamurthy higher-order gains: values >= 2
 	// break ties inside the head gain bucket by the level-2..depth gain

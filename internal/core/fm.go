@@ -384,8 +384,12 @@ func (e *Engine) pass(p *partition.P, passNo int) (improved bool, moves int64, s
 
 	var lastFrom uint8
 	hasLast := false
+	maxIdle := e.cfg.MaxIdleMoves
 
 	for {
+		if maxIdle > 0 && bestLegal && len(e.moveStack)-1-bestIdx > maxIdle {
+			break // early exit: the tail past the best prefix is rolled back anyway
+		}
 		v, ok := e.selectMove(lastFrom, hasLast)
 		if !ok {
 			stuck = e.cont.Size(0)+e.cont.Size(1) > 0

@@ -336,13 +336,10 @@ func TestStrongBeatsNaiveOnAverage(t *testing.T) {
 	}
 }
 
-func TestCorkingTraceCounters(t *testing.T) {
-	// Unguarded CLIP on a macro-heavy, tightly balanced instance must show
-	// stuck terminations (the corking signature); the guard removes most of
-	// them. This reproduces the paper's "traces of CLIP executions show
-	// that corking actually occurs fairly often".
+// corkingInstance is a macro-heavy ring under a 2% balance: four macros far
+// above the slack share nets with every small cell.
+func corkingInstance() (*hypergraph.Hypergraph, partition.Balance) {
 	b := hypergraph.NewBuilder(64, 0)
-	r := rng.New(5)
 	var total int64
 	for i := 0; i < 60; i++ {
 		b.AddVertex(4)
@@ -356,7 +353,16 @@ func TestCorkingTraceCounters(t *testing.T) {
 		b.AddEdge(1, i, (i+7)%60)
 	}
 	h := b.MustBuild()
-	bal := partition.NewBalance(h.TotalVertexWeight(), 0.02)
+	return h, partition.NewBalance(h.TotalVertexWeight(), 0.02)
+}
+
+func TestCorkingTraceCounters(t *testing.T) {
+	// Unguarded CLIP on a macro-heavy, tightly balanced instance must show
+	// stuck terminations (the corking signature); the guard removes most of
+	// them. This reproduces the paper's "traces of CLIP executions show
+	// that corking actually occurs fairly often".
+	h, bal := corkingInstance()
+	r := rng.New(5)
 
 	// A corked CLIP selection skips a whole side because an immovable cell
 	// heads its top bucket. Count cork events and moves: corks should be

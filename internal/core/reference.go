@@ -13,7 +13,10 @@
 // Update, Bias, Insertion, BestTie, CorkGuard, LookPastIllegal,
 // SkipBucketOnly). It deliberately omits the two post-seed extensions —
 // Krishnamurthy lookahead and boundary-only refinement — which NewEngine
-// rejects under ReferenceImpl.
+// rejects under ReferenceImpl. The one post-seed edit is the early-exit
+// check of Config.MaxIdleMoves, which multilevel refinement sets by default:
+// without it the reference and optimized paths would part ways on every
+// large level.
 package core
 
 import (
@@ -66,6 +69,11 @@ func (e *Engine) referencePass(p *partition.P, passNo int) (improved bool, moves
 	hasLast := false
 
 	for {
+		// Config.MaxIdleMoves postdates the seed; the optimized pass checks
+		// the same condition at the same point.
+		if e.cfg.MaxIdleMoves > 0 && bestLegal && len(e.moveStack)-1-bestIdx > e.cfg.MaxIdleMoves {
+			break
+		}
 		v, ok := e.referenceSelectMove(p, lastFrom, hasLast)
 		if !ok {
 			stuck = e.refCont.Size(0)+e.refCont.Size(1) > 0

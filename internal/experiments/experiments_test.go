@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -253,5 +254,30 @@ func TestTableBenchmarkEraShape(t *testing.T) {
 	}
 	if suites["MCNC"] != 2 || suites["ISPD98"] != 2 {
 		t.Fatalf("suite rows %v", suites)
+	}
+}
+
+// Below 500 cells no limit can end a pass, so every row of an instance must
+// repeat the full pass's cut and work exactly; a cancelled sweep marks its
+// cells.
+func TestTableIdleFrontierShape(t *testing.T) {
+	tab := TableIdleFrontier(Options{Scale: 0.02, Runs: 3, Seed: 17}, 0.02)
+	if len(tab.Rows) != 3*2*len(idleLimits) {
+		t.Fatalf("%d rows", len(tab.Rows))
+	}
+	for i, row := range tab.Rows {
+		full := tab.Rows[i-i%len(idleLimits)+len(idleLimits)-1]
+		if row[3] != full[3] || row[6] != full[6] {
+			t.Fatalf("limit row %v differs from its full pass %v on an instance too small to trigger it", row, full)
+		}
+		if row[2] != "full pass" && (row[4] != "0/0" || row[5] != "1.000") {
+			t.Fatalf("limit row %v should tie the full pass on every seed", row)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tab = TableIdleFrontier(Options{Scale: 0.02, Runs: 3, Seed: 17, Ctx: ctx}, 0.02)
+	if tab.Rows[0][3] != cancelledCell {
+		t.Fatalf("cancelled sweep row %v not marked", tab.Rows[0])
 	}
 }

@@ -23,7 +23,9 @@ import (
 type Config struct {
 	// Refine configures the FM engine used for refinement at every level
 	// (and for initial-partition polishing at the coarsest level). This is
-	// where "ML LIFO" vs "ML CLIP" and the Table 1 knobs plug in.
+	// where "ML LIFO" vs "ML CLIP" and the Table 1 knobs plug in. A zero
+	// Refine.MaxIdleMoves takes DefaultMaxIdleMoves unless Refine.CLIP is
+	// set; a negative one keeps the full pass.
 	Refine core.Config
 
 	// CoarsestSize stops coarsening once the level has at most this many
@@ -56,8 +58,19 @@ type Config struct {
 	Matching Matching
 }
 
+// DefaultMaxIdleMoves is the early-exit limit multilevel FM refinement gives
+// a zero Refine.MaxIdleMoves: a pass ends once it is more than this many
+// moves past its best prefix, since nearly every move after that point is
+// rolled back. A level with at most this many movable vertices never stops
+// early. CLIP refinement keeps the full pass, because there the limit costs
+// cut quality (EXPERIMENTS.md, idle-move limit frontier).
+const DefaultMaxIdleMoves = 2000
+
 // withDefaults fills zero fields with defaults.
 func (c Config) withDefaults() Config {
+	if c.Refine.MaxIdleMoves == 0 && !c.Refine.CLIP {
+		c.Refine.MaxIdleMoves = DefaultMaxIdleMoves
+	}
 	if c.CoarsestSize <= 0 {
 		c.CoarsestSize = 150
 	}

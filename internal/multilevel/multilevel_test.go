@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,10 +178,44 @@ func TestConfigDefaults(t *testing.T) {
 	if c.CoarsestSize != 150 || c.InitialTries != 10 || c.MaxNetSizeForMatch != 64 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
+	if c.Refine.MaxIdleMoves != DefaultMaxIdleMoves {
+		t.Fatalf("Refine.MaxIdleMoves default %d, want %d", c.Refine.MaxIdleMoves, DefaultMaxIdleMoves)
+	}
 	// Explicit values survive.
-	c2 := Config{CoarsestSize: 99}.withDefaults()
+	c2 := Config{CoarsestSize: 99, Refine: core.Config{MaxIdleMoves: -1}}.withDefaults()
 	if c2.CoarsestSize != 99 {
 		t.Fatal("explicit CoarsestSize overridden")
+	}
+	if c2.Refine.MaxIdleMoves != -1 {
+		t.Fatal("explicit full-pass MaxIdleMoves overridden")
+	}
+	if c3 := (Config{Refine: core.StrongConfig(true)}).withDefaults(); c3.Refine.MaxIdleMoves != 0 {
+		t.Fatalf("CLIP refinement got an idle-move limit of %d, want the full pass", c3.Refine.MaxIdleMoves)
+	}
+}
+
+// TestIdleLimitInertOnSmallInstances: a level never has more movable
+// vertices than the instance, so at most DefaultMaxIdleMoves vertices the
+// default limit cannot end a pass. Starts and V-cycles must then be byte-
+// identical to full passes, work and move counts included.
+func TestIdleLimitInertOnSmallInstances(t *testing.T) {
+	h := testInstance(t, 13, DefaultMaxIdleMoves)
+	bal := partition.NewBalance(h.TotalVertexWeight(), 0.02)
+	full := core.StrongConfig(false)
+	full.MaxIdleMoves = -1
+	limited := New(h, Config{Refine: core.StrongConfig(false)}, bal)
+	unlimited := New(h, Config{Refine: full}, bal)
+	for seed := uint64(1); seed <= 3; seed++ {
+		pa, sa := limited.Partition(rng.New(seed))
+		pb, sb := unlimited.Partition(rng.New(seed))
+		va := limited.VCycle(pa, rng.New(seed+100))
+		vb := unlimited.VCycle(pb, rng.New(seed+100))
+		if sa != sb || va != vb {
+			t.Fatalf("seed %d: stats differ: default %+v / %+v, full pass %+v / %+v", seed, sa, va, sb, vb)
+		}
+		if !slices.Equal(pa.Sides(), pb.Sides()) {
+			t.Fatalf("seed %d: partitions differ", seed)
+		}
 	}
 }
 

@@ -124,10 +124,11 @@ func TestBodyLimitCoversTrailingBytes(t *testing.T) {
 }
 
 // A body is exactly one JSON value: trailing whitespace and a final newline
-// are accepted, any other trailing byte is a 400.
+// are accepted, any other trailing byte is a 400. The body sets no starts,
+// which /v1/trace refuses.
 func TestTrailingDataAfterRequest(t *testing.T) {
 	_, hs := testServer(t, nil)
-	const req = `{"benchmark":"ibm01","scale":0.1,"engine":"flat","starts":1,"seed":3}`
+	const req = `{"benchmark":"ibm01","scale":0.1,"engine":"flat","seed":3}`
 	cases := []struct {
 		name, body string
 		want       int

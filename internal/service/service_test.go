@@ -3,6 +3,8 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -555,11 +557,20 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 // A traced start runs inline with the named engine and nothing else, so a
-// field it cannot honour is refused by name instead of silently dropped;
-// starts and vcycles are defaulted before the gate and still accepted.
+// field it cannot honour is refused by name instead of silently dropped,
+// including starts and vcycles, which the request decoder defaults. A body
+// that names none of them traces the same bytes as before the refusals.
+// traceDigest is the sha256 prefix of the clip trace of ibm01@0.1 at seed
+// 11 and 2% tolerance: flat and clip FM run full passes, so it never moves.
+const traceDigest = "c011e2f8b443374e"
+
 func TestTraceRefusesUnsupportedFields(t *testing.T) {
 	_, hs := testServer(t, nil)
 	const base = `{"benchmark":"ibm01","scale":0.1,"engine":"clip","seed":11,`
+	resp, body := postTrace(t, hs, base+`"tolerance":0.02}`)
+	if sum := sha256.Sum256(body); resp.StatusCode != http.StatusOK || hex.EncodeToString(sum[:8]) != traceDigest {
+		t.Fatalf("plain trace: status %d, sha256 prefix %x, want 200 and %s: %s", resp.StatusCode, sum[:8], traceDigest, body)
+	}
 	cases := []struct {
 		field, value string
 		want         int
@@ -571,8 +582,8 @@ func TestTraceRefusesUnsupportedFields(t *testing.T) {
 		{"workers", `2`, http.StatusBadRequest},
 		{"priority", `3`, http.StatusBadRequest},
 		{"async", `true`, http.StatusBadRequest},
-		{"starts", `1`, http.StatusOK},
-		{"vcycles", `5`, http.StatusOK},
+		{"starts", `1`, http.StatusBadRequest},
+		{"vcycles", `5`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 // traced flat/clip start and returns the per-pass cut curve summaries —
 // deterministic for a given (instance, engine, seed), like every other
 // answer the daemon gives. A field the single inline start cannot honour
-// (mode, budgets, polish, queueing) is refused, never silently dropped.
+// (starts, vcycles, mode, budgets, polish, queueing) is refused, never
+// silently dropped.
 
 // TracePass is one FM pass of a traced run.
 type TracePass struct {
@@ -45,10 +46,15 @@ type TraceReport struct {
 }
 
 // traceUnsupported names the first field set on req that a traced start
-// cannot honour, or "" when there is none. starts and vcycles are not
-// listed: they are defaulted before any gate sees them, so an explicit
-// value cannot be told from an absent one.
-func traceUnsupported(req *PartitionRequest) string {
+// cannot honour, or "" when there is none. starts and vcycles are defaulted
+// before any gate sees req, so their presence is read from the raw body,
+// which admitRequest has already decoded once without error.
+func traceUnsupported(req *PartitionRequest, raw []byte) string {
+	var present struct {
+		Starts  *json.RawMessage `json:"starts"`
+		VCycles *json.RawMessage `json:"vcycles"`
+	}
+	_ = json.Unmarshal(raw, &present)
 	for _, f := range []struct {
 		name string
 		set  bool
@@ -60,6 +66,8 @@ func traceUnsupported(req *PartitionRequest) string {
 		{"workers", req.Workers != 0},
 		{"priority", req.Priority != 0},
 		{"async", req.Async},
+		{"starts", present.Starts != nil},
+		{"vcycles", present.VCycles != nil},
 	} {
 		if f.set {
 			return f.name
@@ -84,7 +92,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			errorBody(w, http.StatusBadRequest, "trace requires engine flat or clip (pass tracers exist for the flat FM engines)")
 			return false
 		}
-		if field := traceUnsupported(req); field != "" {
+		if field := traceUnsupported(req, raw); field != "" {
 			errorBody(w, http.StatusBadRequest, fmt.Sprintf("trace does not support %q: it runs one start of the named engine inline, unqueued and unbudgeted", field))
 			return false
 		}
